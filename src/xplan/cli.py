@@ -17,6 +17,7 @@ from xplan.data_model import DataError, SplitSpec, load_csv, load_schema, split
 from xplan.evaluation import (
     ALL_METHODS,
     GateError,
+    RunArtifacts,
     change_frequency,
     method_samples,
     read_jsonl,
@@ -25,17 +26,7 @@ from xplan.evaluation import (
     write_jsonl,
 )
 from xplan.planners import PlannerConfig, load_feature_model
-from xplan.predictor import (
-    CLASSIFY,
-    ForestParams,
-    gate,
-    score_classifier,
-    score_regressor,
-    smote,
-    train_forest,
-    tune_de,
-)
-from xplan.evaluation import _build_planner  # shared planner dispatch
+from xplan.predictor import ForestParams, smote, tune_de
 from xplan.scott_knott import render_report, scott_knott_rank
 
 EXIT_DATA = 1
@@ -101,24 +92,46 @@ def _prepare(data, schema, constraints, seed, split_mode, train_versions,
         train = smote(train, rng=random.Random(seed))
     if tune:
         params = tune_de(train, seed=seed)
-        params = ForestParams(params.n_trees, params.max_depth, params.min_leaf,
-                              params.features_per_split, seed)
     else:
         params = ForestParams(n_trees=trees, seed=seed)
     return train, test, fm, params
 
 
-def _gate_or_die(train, test, params):
-    model = train_forest(train, params)
-    score = score_classifier(model, test) if model.mode == CLASSIFY else score_regressor(model, test)
-    if not gate(score):
-        if hasattr(score, "pd"):
-            click.echo(f"predictor gate failed: pd={score.pd:.1f} pf={score.pf:.1f} "
-                       "(need pd > 60 and pf < 40)", err=True)
-        else:
-            click.echo(f"predictor gate failed: s={score.s:.3f} (need s > 0.9)", err=True)
-        sys.exit(EXIT_GATE)
-    return model
+def _gate_failed(score):
+    if hasattr(score, "pd"):
+        click.echo(f"predictor gate failed: pd={score.pd:.1f} pf={score.pf:.1f} "
+                   "(need pd > 60 and pf < 40)", err=True)
+    else:
+        click.echo(f"predictor gate failed: s={score.s:.3f} (need s > 0.9)", err=True)
+    sys.exit(EXIT_GATE)
+
+
+def _row_indices(rows, n):
+    """``--rows`` as test row indices; a bad value is a usage error."""
+    if rows == "all":
+        return range(n)
+    try:
+        picked = [int(r) for r in rows.split(",") if r]
+    except ValueError:
+        click.echo(f"--rows takes comma-separated row indices or 'all', not {rows!r}", err=True)
+        sys.exit(EXIT_DATA)
+    bad = [i for i in picked if not 0 <= i < n]
+    if bad:
+        click.echo(f"--rows {bad} out of range: the test split has rows 0..{n - 1}", err=True)
+        sys.exit(EXIT_DATA)
+    return picked
+
+
+def _rank(results, seed):
+    """Scott-Knott ranking of the methods with a defined ratio; the others
+    are named on stderr."""
+    unranked = [m for m, rs in results.items() if not any(r.ratio_defined for r in rs)]
+    if unranked:
+        click.echo(f"not ranked, no defined ratio: {', '.join(unranked)}", err=True)
+    samples = method_samples(results)
+    if not samples:
+        sys.exit(EXIT_DATA)
+    return scott_knott_rank(samples, random.Random(seed))
 
 
 @click.group()
@@ -142,17 +155,16 @@ def cmd_plan(method, rows, data, schema, constraints, alpha, beta, gamma, seed,
     except (DataError, OSError) as exc:
         click.echo(str(exc), err=True)
         sys.exit(EXIT_DATA)
-    _gate_or_die(train, test, params)
-    cfg = PlannerConfig(alpha=alpha, beta=beta, gamma=gamma, seed=seed)
     methods = list(ALL_METHODS[1:]) if method == "all" else [method]
-    if rows == "all":
-        selected = range(len(test.rows))
-    else:
-        selected = [int(r) for r in rows.split(",") if r]
+    selected = _row_indices(rows, len(test.rows))
+    cfg = PlannerConfig(alpha=alpha, beta=beta, gamma=gamma, seed=seed)
+    try:
+        arts = RunArtifacts(train, test, cfg, fm, params).for_seed(seed, methods)
+    except GateError as exc:
+        _gate_failed(exc.score)
     for m in methods:
-        planner = _build_planner(m, train, cfg, random.Random(f"{seed}:artifacts"))
         for i in selected:
-            plan = planner(test.rows[i], random.Random(f"{seed}:{i}"))
+            plan = arts.planners[m](test.rows[i], random.Random(f"{seed}:{i}"))
             click.echo(json.dumps({"row": i, **plan.to_json()}, sort_keys=True))
 
 
@@ -184,17 +196,12 @@ def cmd_eval(methods, repeats, out, fmt, data, schema, constraints, alpha, beta,
         results = run_repeats(train, test, method_list, cfg, n=repeats,
                               base_seed=seed, fm=fm, forest_params=params)
     except GateError as exc:
-        score = exc.score
-        if hasattr(score, "pd"):
-            click.echo(f"predictor gate failed: pd={score.pd:.1f} pf={score.pf:.1f}", err=True)
-        else:
-            click.echo(f"predictor gate failed: s={score.s:.3f}", err=True)
-        sys.exit(EXIT_GATE)
+        _gate_failed(exc.score)
     outdir = Path(out)
     outdir.mkdir(parents=True, exist_ok=True)
     write_jsonl(results, outdir / "results.jsonl")
     write_csv_summary(results, outdir / "results.csv")
-    ranked = scott_knott_rank(method_samples(results), random.Random(seed))
+    ranked = _rank(results, seed)
     if fmt == "json":
         click.echo(json.dumps(ranked.to_json(), sort_keys=True))
     elif fmt == "csv":
@@ -218,7 +225,7 @@ def cmd_report(results_path, seed):
     if not results:
         click.echo("no results", err=True)
         sys.exit(EXIT_DATA)
-    ranked = scott_knott_rank(method_samples(results), random.Random(seed))
+    ranked = _rank(results, seed)
     click.echo(render_report(ranked))
     features = sorted({f for rs in results.values() for r in rs for f in r.changed_features})
     click.echo("\nChange frequency (percent of repeats):")

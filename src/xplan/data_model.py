@@ -211,7 +211,8 @@ def save_csv(ds, path):
 
 
 def split(ds, spec):
-    """Partition into disjoint train/test datasets; bounds are recomputed."""
+    """Partition into disjoint train/test datasets; bounds are recomputed.
+    An empty side is a DataError."""
     if spec.mode == "random-half":
         order = list(range(len(ds.rows)))
         random.Random(spec.seed).shuffle(order)
@@ -230,6 +231,9 @@ def split(ds, spec):
         test_rows = [r for r in ds.rows if r[vi] in set(spec.test_versions)]
     else:
         raise DataError(f"bad split mode {spec.mode!r}")
+    for name, rows in (("train", train_rows), ("test", test_rows)):
+        if not rows:
+            raise DataError(f"the {name} split is empty")
     return ds.replace_rows(train_rows), ds.replace_rows(test_rows)
 
 

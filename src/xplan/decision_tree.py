@@ -3,7 +3,8 @@
 Each node splits on the independent feature whose candidate split most
 reduces the variability of the dependent column: multiway, one child per
 MDL bin (numerics) or per symbol (discretes). Leaves keep their member
-rows and a quality score so planners can compare branches.
+rows, their centroid and a quality score so planners can compare
+branches.
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ from xplan.data_model import (
     dependent_score,
 )
 from xplan.discretize import Bin, mdl_discretize
-from xplan.num_core import variability
+from xplan.num_core import DistanceConfig, variability
+from xplan.where_cluster import centroid_of
 
 MIN_GAIN = 1e-6  # absolute variability reduction needed to keep a split
 
@@ -32,6 +34,8 @@ class TreeNode:
     parent: "TreeNode | None" = None
     split_feature: str | None = None
     branches: list = field(default_factory=list)  # (condition, child) pairs
+    centroid: list | None = None       # leaves: mean/mode row of the members
+    dcfg: DistanceConfig | None = None  # root: distances between training rows
 
     @property
     def is_leaf(self):
@@ -138,7 +142,11 @@ def build_tree(train, alpha=None):
         node.branches = [(c, grow(g, depth + 1, node)) for c, g in zip(conds, groups)]
         return node
 
-    return grow(list(range(n)), 0, None)
+    root = grow(list(range(n)), 0, None)
+    root.dcfg = DistanceConfig.from_dataset(train)
+    for leaf in root.leaves():
+        leaf.centroid = centroid_of([train.rows[i] for i in leaf.members], train.features)
+    return root
 
 
 def locate_leaf(tree, row, ds):

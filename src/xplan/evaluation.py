@@ -1,10 +1,13 @@
 """Experiment harness: train, gate, plan, re-predict, report ratios.
 
-One experiment trains a forest and a planner on the train split, checks
-the forest against the test split (aborting when it is not good enough to
-judge plans), plans every test row, and reports R = after/before where
-"before" is the predicted defect count (or predicted runtime sum) on the
-untouched test rows and "after" the same statistic on the changed rows.
+One experiment plans every test row with one method and reports
+R = after/before, where "before" is the predicted defect count (or
+predicted runtime sum) on the untouched test rows and "after" the same
+statistic on the changed rows. The repeats run seed by seed: each seed
+trains one forest on the train split, checks it against the test split
+(aborting when it is not good enough to judge plans) and builds the
+training-side planner artifacts, which every method of that seed shares.
+Artifacts that no seed changes are built once per run.
 """
 
 from __future__ import annotations
@@ -13,7 +16,8 @@ import csv
 import json
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -23,13 +27,22 @@ from xplan.num_core import DistanceConfig, distance_matrix
 from xplan.planners import (
     Plan,
     apply_plan,
+    bic_gradients,
     check_constraints,
     plan_bic,
     plan_cd,
     plan_cdfs,
     plan_xtree,
 )
-from xplan.predictor import CLASSIFY, ForestParams, gate, score_classifier, score_regressor, train_forest
+from xplan.predictor import (
+    CLASSIFY,
+    ForestModel,
+    ForestParams,
+    gate,
+    score_classifier,
+    score_regressor,
+    train_forest,
+)
 from xplan.scott_knott import MethodSamples
 from xplan.where_cluster import ClusterConfig, cluster
 
@@ -95,41 +108,103 @@ class ChangeFrequencyReport:
     mean_fraction: float
 
 
-def _aggregate(model, rows):
-    preds = model.predict(rows)
-    if model.mode == CLASSIFY:
+def _total(mode, preds):
+    """Predicted defect count (classifier) or runtime sum (regressor)."""
+    if mode == CLASSIFY:
         return float(sum(1 for p in preds if p))
     return float(sum(preds))
 
 
-def _build_planner(method, train, cfg, rng):
-    """Train-side planner artifacts, then a per-row plan function."""
-    dcfg = DistanceConfig.from_dataset(train)
-    if method == "identity":
-        return lambda z, row_rng: Plan([], "identity")
-    if method == "xtree":
-        tree = build_tree(train, cfg.alpha)
-        return lambda z, row_rng: plan_xtree(tree, z, cfg, row_rng, train)
-    clusters = cluster(train, ClusterConfig(cfg.alpha), rng)
-    if method == "cd":
-        return lambda z, row_rng: plan_cd(clusters, z, dcfg, train)
-    ids = [None] * len(train.rows)
-    for c in clusters:
-        for i in c.members:
-            ids[i] = c.index
-    ranking = rank_features(train, ids, cfg.beta)
-    if method == "cdfs":
-        return lambda z, row_rng: plan_cdfs(clusters, ranking, z, dcfg, train)
-    if method == "bic":
-        return lambda z, row_rng: plan_bic(clusters, ranking, z, dcfg, train)
-    raise ValueError(f"unknown method {method!r}")
+class RunArtifacts:
+    """One train/test split with its planner settings, feature model and
+    forest parameters, plus what every seed of a run shares. Built once,
+    on first use: the training distance config, xtree's tree with its leaf
+    centroids (``build_tree`` draws no random numbers) and each test row's
+    distance to its nearest training row."""
+
+    def __init__(self, train, test, cfg, fm=None, forest_params=None):
+        self.train = train
+        self.test = test
+        self.cfg = cfg
+        self.fm = fm
+        self.forest_params = forest_params or ForestParams()
+        self.dcfg = DistanceConfig.from_dataset(train)
+
+    @cached_property
+    def tree(self):
+        return build_tree(self.train, self.cfg.alpha)
+
+    @cached_property
+    def nearest(self):
+        """Distance from each test row to its nearest training row."""
+        return nearest_distances(self.train, self.test.rows, self.dcfg)
+
+    def for_seed(self, seed, methods):
+        """Fit and gate this seed's forest, predict the untouched test rows
+        once, and build a per-row planner for each method; raises GateError
+        when the forest is too weak to judge plans."""
+        unknown = [m for m in methods if m not in ALL_METHODS]
+        if unknown:
+            raise ValueError(f"unknown method {unknown[0]!r}")
+        model = train_forest(self.train, replace(self.forest_params, seed=seed))
+        score = (score_classifier if model.mode == CLASSIFY else score_regressor)(model, self.test)
+        if not gate(score):
+            raise GateError(score)
+        before = _total(model.mode, score.predicted)
+        return SeedArtifacts(self, seed, model, before, self._planners(seed, methods))
+
+    def _planners(self, seed, methods):
+        """Per-row plan functions ``(row, row_rng) -> Plan``. cd, cdfs and
+        bic share one clustering of this seed, cdfs and bic one ranking."""
+        train, cfg, dcfg = self.train, self.cfg, self.dcfg
+        wanted = set(methods)
+        planners = {"identity": lambda z, row_rng: Plan([], "identity")}
+        if "xtree" in wanted:
+            tree = self.tree
+            planners["xtree"] = lambda z, row_rng: plan_xtree(tree, z, cfg, row_rng, train)
+        if wanted & {"cd", "cdfs", "bic"}:
+            clusters = cluster(train, ClusterConfig(cfg.alpha), random.Random(f"{seed}:artifacts"))
+            planners["cd"] = lambda z, row_rng: plan_cd(clusters, z, dcfg, train)
+        if wanted & {"cdfs", "bic"}:
+            ids = [None] * len(train.rows)
+            for c in clusters:
+                for i in c.members:
+                    ids[i] = c.index
+            ranking = rank_features(train, ids, cfg.beta)
+            planners["cdfs"] = lambda z, row_rng: plan_cdfs(clusters, ranking, z, dcfg, train)
+        if "bic" in wanted:
+            gradients = bic_gradients(clusters, dcfg)
+            planners["bic"] = lambda z, row_rng: plan_bic(gradients, ranking, z, dcfg, train)
+        return planners
 
 
-def trust_report(train, test_rows, changed_rows, dcfg=None):
-    """Mean nearest-training-row distance before and after the changes."""
-    dcfg = dcfg or DistanceConfig.from_dataset(train)
-    before = distance_matrix(test_rows, train.rows, dcfg).min(axis=1)
-    after = distance_matrix(changed_rows, train.rows, dcfg).min(axis=1)
+@dataclass
+class SeedArtifacts:
+    """What every method of one seed shares: the gated forest, its
+    prediction for the untouched test rows and the per-row planners."""
+
+    run: RunArtifacts
+    seed: int
+    model: ForestModel
+    before: float
+    planners: dict  # method -> (row, row_rng) -> Plan
+
+
+def nearest_distances(train, rows, dcfg):
+    """Distance from each row to its nearest training row."""
+    return distance_matrix(rows, train.rows, dcfg).min(axis=1)
+
+
+def trust_report(train, test_rows, changed_rows, before, dcfg):
+    """Mean nearest-training-row distance before and after the changes.
+
+    ``before`` holds the nearest distances of ``test_rows``; a changed row
+    equal to its test row keeps that distance, the others are measured.
+    """
+    after = before.copy()
+    moved = [i for i, (z, c) in enumerate(zip(test_rows, changed_rows)) if c != z]
+    if moved:
+        after[moved] = nearest_distances(train, [changed_rows[i] for i in moved], dcfg)
     return TrustReport(
         float(np.mean(before)),
         float(np.mean(after)),
@@ -137,26 +212,12 @@ def trust_report(train, test_rows, changed_rows, dcfg=None):
     )
 
 
-def run_experiment(train, test, method, cfg, seed, fm=None, forest_params=None):
-    params = forest_params or ForestParams()
-    params = ForestParams(
-        n_trees=params.n_trees,
-        max_depth=params.max_depth,
-        min_leaf=params.min_leaf,
-        features_per_split=params.features_per_split,
-        seed=seed,
-    )
-    model = train_forest(train, params)
-    score = (
-        score_classifier(model, test)
-        if model.mode == CLASSIFY
-        else score_regressor(model, test)
-    )
-    if not gate(score):
-        raise GateError(score)
-
-    before = _aggregate(model, test.rows)
-    planner = _build_planner(method, train, cfg, random.Random(f"{seed}:artifacts"))
+def run_experiment(train, test, method, arts):
+    """Plan every test row with one method from one seed's shared
+    artifacts (built from this train/test split), re-predict the changed
+    rows and report the ratio, plan counts and trust."""
+    run, seed = arts.run, arts.seed
+    planner = arts.planners[method]
     changed = []
     emitted = empty = 0
     touched = set()
@@ -165,7 +226,7 @@ def run_experiment(train, test, method, cfg, seed, fm=None, forest_params=None):
         plan = planner(z, row_rng)
         if not plan.empty:
             candidate = apply_plan(z, plan, train)
-            if fm is not None and check_constraints(candidate, fm, train):
+            if run.fm is not None and check_constraints(candidate, run.fm, train):
                 plan, candidate = Plan([], plan.method), list(z)  # culled
             else:
                 emitted += 1
@@ -178,9 +239,10 @@ def run_experiment(train, test, method, cfg, seed, fm=None, forest_params=None):
             empty += 1
         changed.append(candidate)
 
-    after = _aggregate(model, changed)
+    before = arts.before
+    after = _total(arts.model.mode, arts.model.predict(changed))
     ratio = after / before if before > 0 else math.nan
-    trust = trust_report(train, test.rows, changed)
+    trust = trust_report(train, test.rows, changed, run.nearest, run.dcfg)
     return ExperimentResult(
         method=method,
         seed=seed,
@@ -197,16 +259,16 @@ def run_experiment(train, test, method, cfg, seed, fm=None, forest_params=None):
 
 
 def run_repeats(train, test, methods, cfg, n=40, base_seed=1, fm=None, forest_params=None):
-    """n seeded repeats per method; every method sees the same seeds."""
+    """n seeded repeats per method; every method sees the same seeds and,
+    within a seed, the same forest and training-side artifacts."""
     if n < 1:
         raise ValueError("need at least one repeat")
+    run = RunArtifacts(train, test, cfg, fm, forest_params)
     results = {m: [] for m in methods}
     for i in range(n):
-        seed = base_seed + i
+        arts = run.for_seed(base_seed + i, methods)
         for m in methods:
-            results[m].append(
-                run_experiment(train, test, m, cfg, seed, fm=fm, forest_params=forest_params)
-            )
+            results[m].append(run_experiment(train, test, m, arts))
     return results
 
 
@@ -225,11 +287,12 @@ def change_frequency(results, features):
 
 def method_samples(results):
     """Scott-Knott input from per-method result lists; undefined ratios
-    are dropped."""
-    return [
+    are dropped, and so is a method left with none."""
+    samples = [
         MethodSamples(m, [r.ratio for r in rs if r.ratio_defined])
         for m, rs in results.items()
     ]
+    return [s for s in samples if s.values]
 
 
 def write_jsonl(results, path):

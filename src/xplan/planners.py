@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 from xplan.data_model import DISCRETE, INDEPENDENT, NUMERIC, DataError
 from xplan.decision_tree import branch_path, locate_leaf, siblings_at_level
 from xplan.discretize import Bin
-from xplan.num_core import DistanceConfig, distance
-from xplan.where_cluster import centroid_of, nearest_cluster
+from xplan.num_core import distance
+from xplan.where_cluster import nearest_cluster
 
 SHIFT = "shift"    # numeric: add delta, clamp to training bounds
 SET = "set"        # discrete: replace the symbol
@@ -107,9 +107,10 @@ def plan_cdfs(clusters, ranking, z, dcfg, ds):
     return Plan([d for d in base.deltas if d.feature in keep], "cdfs", base.provenance)
 
 
-def plan_bic(clusters, ranking, z, dcfg, ds):
-    """Method3: ride the nearest inter-centroid gradient up to its best
-    end, then copy that cluster's best-in-cluster example."""
+def bic_gradients(clusters, dcfg):
+    """Method3's inter-centroid gradients: each cluster paired with its
+    nearest neighbour cluster as (bottom, top), worse end first; pairs
+    of equal score are skipped."""
     gradients = []
     for c in clusters:
         others = [o for o in clusters if o is not c]
@@ -120,6 +121,13 @@ def plan_bic(clusters, ranking, z, dcfg, ds):
             continue
         bottom, top = (c, nn) if c.score > nn.score else (nn, c)
         gradients.append((bottom, top))
+    return gradients
+
+
+def plan_bic(gradients, ranking, z, dcfg, ds):
+    """Method3: ride the nearest inter-centroid gradient (from
+    ``bic_gradients``) up to its best end, then copy that cluster's
+    best-in-cluster example."""
     if not gradients:
         return Plan([], "bic")
     bottom, top = min(
@@ -146,14 +154,8 @@ def plan_xtree(tree, z, cfg, rng, ds):
             return Plan([], "xtree", {"exhausted": True})
         better = [s for s in siblings if s.score < cfg.gamma * current.score]
         if better:
-            dcfg = DistanceConfig.from_dataset(ds)
-            cur_cent = centroid_of([ds.rows[i] for i in current.members], ds.features)
-            cents = {
-                id(s): centroid_of([ds.rows[i] for i in s.members], ds.features)
-                for s in better
-            }
             desired = min(
-                better, key=lambda s: distance(cur_cent, cents[id(s)], dcfg)
+                better, key=lambda s: distance(current.centroid, s.centroid, tree.dcfg)
             )  # min() keeps the leftmost leaf on ties
             break
         lvl += 1

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import random
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -47,12 +47,14 @@ class ForestParams:
 class ClassifierScore:
     pd: float  # recall, percent
     pf: float  # false alarm, percent
+    predicted: list = field(default=None, repr=False)  # the scored predictions
 
 
 @dataclass
 class RegressorScore:
     s: float              # mean of 1 - |a - p| / a
     per_item: list = None
+    predicted: list = field(default=None, repr=False)  # the scored predictions
 
 
 class _Encoder:
@@ -230,7 +232,7 @@ def score_classifier(model, test):
     tn = sum(1 for a, p in zip(actual, predicted) if not a and not p)
     pd = 100 * tp / (tp + fn) if tp + fn else math.nan
     pf = 100 * fp / (fp + tn) if fp + tn else math.nan
-    return ClassifierScore(pd, pf)
+    return ClassifierScore(pd, pf, predicted)
 
 
 def score_regressor(model, test):
@@ -242,7 +244,7 @@ def score_regressor(model, test):
             warnings.warn("skipping test item with zero actual value")
             continue
         items.append(1 - abs(a - p) / a)
-    return RegressorScore(sum(items) / len(items) if items else math.nan, items)
+    return RegressorScore(sum(items) / len(items) if items else math.nan, items, predicted)
 
 
 def gate(score, s_threshold=0.9):

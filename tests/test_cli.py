@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 from click.testing import CliRunner
@@ -36,6 +37,27 @@ def base_args(workdir, *extra):
 runner = CliRunner()
 
 
+def stderr_of(res):
+    try:
+        return res.stderr
+    except ValueError:  # stderr mixed into output on older click
+        return res.output
+
+
+def versioned(workdir):
+    """The planted CSV with a meta ``version`` column: train or test."""
+    lines = (workdir / "data.csv").read_text().splitlines()
+    half = len(lines) // 2
+    body = [f"{row},{'train' if i < half else 'test'}" for i, row in enumerate(lines[1:])]
+    (workdir / "versioned.csv").write_text("\n".join([lines[0] + ",version", *body]) + "\n")
+    schema = json.loads((workdir / "schema.json").read_text())
+    schema["features"].append({"name": "version", "kind": "discrete", "role": "meta"})
+    (workdir / "versioned.json").write_text(json.dumps(schema))
+    return ["--data", str(workdir / "versioned.csv"),
+            "--schema", str(workdir / "versioned.json"),
+            "--split-mode", "by-version", "--train-versions", "train"]
+
+
 class TestPlan:
     def test_emits_json_per_row(self, workdir):
         res = runner.invoke(
@@ -70,6 +92,14 @@ class TestPlan:
             "--schema", str(workdir / "schema.json"),
         ])
         assert res.exit_code != 0
+
+    @pytest.mark.parametrize("rows", ["999", "x", "0,-1"])
+    def test_bad_rows_is_usage_error(self, workdir, rows):
+        res = runner.invoke(main, ["plan"] + base_args(workdir, "--rows", rows))
+        assert res.exit_code == 1
+        assert res.exception is None or isinstance(res.exception, SystemExit)
+        assert len(stderr_of(res).strip().splitlines()) == 1
+        assert "--rows" in stderr_of(res)
 
 
 class TestEval:
@@ -133,6 +163,14 @@ class TestEval:
             err = res.output
         assert "gate" in err
 
+    def test_empty_test_split_is_data_error(self, workdir, tmp_path):
+        for command in (["eval", "--out", str(tmp_path / "r")], ["plan"]):
+            res = runner.invoke(main, command + versioned(workdir)
+                                + ["--test-versions", "nope", "--trees", "15"])
+            assert res.exit_code == 1
+            err = stderr_of(res)
+            assert "test split is empty" in err and "gate" not in err
+
     def test_config_file_defaults_with_flag_override(self, workdir, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
@@ -161,6 +199,22 @@ class TestReport:
         assert "Rank" in res.output
         assert "Change frequency" in res.output
         assert "Trust" in res.output
+
+    def test_method_without_defined_ratio_left_unranked(self, tmp_path):
+        from xplan.evaluation import ExperimentResult, write_jsonl
+
+        results = {
+            "identity": [ExperimentResult("identity", s, 1.0, 4, 4, 0, 4, [], 0.1, 0.1)
+                         for s in (1, 2)],
+            "cd": [ExperimentResult("cd", s, math.nan, 0, 0, 3, 1, ["a"], 0.1, 0.2,
+                                    ratio_defined=False) for s in (1, 2)],
+        }
+        write_jsonl(results, tmp_path / "r.jsonl")
+        res = runner.invoke(main, ["report", str(tmp_path / "r.jsonl")])
+        assert res.exit_code == 0, res.output
+        assert "not ranked, no defined ratio: cd" in stderr_of(res)
+        ranked = res.stdout.split("Change frequency")[0]
+        assert "identity" in ranked and "cd" not in ranked
 
     def test_missing_file_exits_1(self, tmp_path):
         res = runner.invoke(main, ["report", str(tmp_path / "nothing.jsonl")])

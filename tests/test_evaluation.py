@@ -3,11 +3,15 @@ import random
 
 import pytest
 
+from xplan import evaluation
 from xplan.data_model import MINIMIZE_RATE, Dataset, FeatureSpec, SplitSpec, split
 from xplan.evaluation import (
+    ALL_METHODS,
     GateError,
+    RunArtifacts,
     change_frequency,
     method_samples,
+    nearest_distances,
     read_jsonl,
     run_experiment,
     run_repeats,
@@ -15,6 +19,7 @@ from xplan.evaluation import (
     write_csv_summary,
     write_jsonl,
 )
+from xplan.num_core import DistanceConfig
 from xplan.planners import PlannerConfig
 from xplan.predictor import ForestParams
 
@@ -26,11 +31,21 @@ def halves(planted):
     return split(planted, SplitSpec(seed=0))
 
 
+def experiment(tr, te, method, seed):
+    """One (seed, method) experiment from freshly built artifacts."""
+    arts = RunArtifacts(tr, te, PlannerConfig(), forest_params=PARAMS).for_seed(seed, [method])
+    return run_experiment(tr, te, method, arts)
+
+
+def report(tr, test_rows, changed_rows):
+    dcfg = DistanceConfig.from_dataset(tr)
+    return trust_report(tr, test_rows, changed_rows, nearest_distances(tr, test_rows, dcfg), dcfg)
+
+
 class TestRunExperiment:
     def test_identity_ratio_is_exactly_one(self, halves):
         tr, te = halves
-        res = run_experiment(tr, te, "identity", PlannerConfig(), seed=1,
-                            forest_params=PARAMS)
+        res = experiment(tr, te, "identity", seed=1)
         assert res.ratio == 1.0
         assert res.after == res.before
         assert res.plans_emitted == 0
@@ -39,8 +54,7 @@ class TestRunExperiment:
 
     def test_planner_lowers_predicted_defects(self, halves):
         tr, te = halves
-        res = run_experiment(tr, te, "xtree", PlannerConfig(), seed=1,
-                            forest_params=PARAMS)
+        res = experiment(tr, te, "xtree", seed=1)
         assert res.ratio < 1.0
         assert res.before > res.after
 
@@ -52,20 +66,19 @@ class TestRunExperiment:
         ds = Dataset(feats, rows, MINIMIZE_RATE)
         tr, te = split(ds, SplitSpec(seed=1))
         with pytest.raises(GateError) as exc:
-            run_experiment(tr, te, "identity", PlannerConfig(), seed=1,
-                           forest_params=PARAMS)
+            experiment(tr, te, "identity", seed=1)
         assert hasattr(exc.value.score, "pd")
 
     def test_repeatable_for_same_seed(self, halves):
         tr, te = halves
-        a = run_experiment(tr, te, "cd", PlannerConfig(), seed=7, forest_params=PARAMS)
-        b = run_experiment(tr, te, "cd", PlannerConfig(), seed=7, forest_params=PARAMS)
+        a = experiment(tr, te, "cd", seed=7)
+        b = experiment(tr, te, "cd", seed=7)
         assert a.to_json() == b.to_json()
 
     def test_test_rows_not_mutated(self, halves):
         tr, te = halves
         snapshot = [list(r) for r in te.rows]
-        run_experiment(tr, te, "cd", PlannerConfig(), seed=2, forest_params=PARAMS)
+        experiment(tr, te, "cd", seed=2)
         assert te.rows == snapshot
 
 
@@ -95,11 +108,35 @@ class TestRunRepeats:
         for s in samples:
             assert len(s.values) == 3
 
+    def test_method_without_defined_ratio_not_sampled(self):
+        from xplan.evaluation import ExperimentResult
+
+        undefined = [ExperimentResult("cd", i, math.nan, 0, 0, 0, 4, [], 0.1, 0.1,
+                                      ratio_defined=False) for i in (1, 2)]
+        kept = [ExperimentResult("identity", i, 1.0, 4, 4, 0, 4, [], 0.1, 0.1) for i in (1, 2)]
+        samples = method_samples({"cd": undefined, "identity": kept})
+        assert [(s.method, s.values) for s in samples] == [("identity", [1.0, 1.0])]
+
+    def test_each_artifact_built_once(self, halves, monkeypatch):
+        calls = {}
+        for name in ("train_forest", "cluster", "rank_features", "build_tree"):
+            fn = getattr(evaluation, name)
+
+            def counted(*args, _fn=fn, _name=name, **kwargs):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(evaluation, name, counted)
+        tr, te = halves
+        results = run_repeats(tr, te, ALL_METHODS, PlannerConfig(), n=3, forest_params=PARAMS)
+        assert {m: len(rs) for m, rs in results.items()} == {m: 3 for m in ALL_METHODS}
+        assert calls == {"train_forest": 3, "cluster": 3, "rank_features": 3, "build_tree": 1}
+
 
 class TestTrustReport:
     def test_identity_rows_keep_their_distance(self, halves):
         tr, te = halves
-        rep = trust_report(tr, te.rows, [list(r) for r in te.rows])
+        rep = report(tr, te.rows, [list(r) for r in te.rows])
         assert rep.before_mean == pytest.approx(rep.after_mean)
         assert len(rep.per_row) == len(te.rows)
         for b, a in rep.per_row:
@@ -107,7 +144,7 @@ class TestTrustReport:
 
     def test_training_rows_have_zero_distance(self, halves):
         tr, _ = halves
-        rep = trust_report(tr, tr.rows[:5], tr.rows[:5])
+        rep = report(tr, tr.rows[:5], tr.rows[:5])
         assert rep.before_mean == pytest.approx(0.0, abs=1e-9)
 
     def test_far_rows_reported_farther(self, halves):
@@ -119,8 +156,19 @@ class TestTrustReport:
                 if f.role == "independent":
                     row[j] = 10_000.0
             outliers.append(row)
-        rep = trust_report(tr, te.rows[:10], outliers)
+        rep = report(tr, te.rows[:10], outliers)
         assert rep.after_mean > rep.before_mean
+
+    def test_unchanged_rows_keep_measured_distance(self, halves):
+        # rows equal to their test row reuse the test distance; the result
+        # must equal measuring every changed row from scratch
+        tr, te = halves
+        changed = [list(r) for r in te.rows[:20]]
+        for row in changed[::3]:
+            row[0] += 7.0
+        rep = report(tr, te.rows[:20], changed)
+        measured = nearest_distances(tr, changed, DistanceConfig.from_dataset(tr))
+        assert [a for _, a in rep.per_row] == measured.tolist()
 
 
 class TestChangeFrequency:

@@ -1,0 +1,116 @@
+"""Golden results: ``results.jsonl`` must stay byte-identical.
+
+Two fixed runs are compared, byte for byte, with the files under
+``tests/golden``:
+
+- ``planted.jsonl``: ``run_repeats`` on the planted-defect data, all five
+  methods, 3 seeds, a 15-tree forest;
+- ``config.jsonl``: ``xplan eval`` on a small configuration table with a
+  rule file, so constraint culling is part of the output.
+
+A change that must not move any result has to pass both unchanged. To
+regenerate the files from the code of the current checkout (only when a
+change of results is intended and explained):
+
+    PYTHONPATH=src:. python3 -m tests.test_golden
+"""
+
+import json
+import math
+import random
+from pathlib import Path
+
+from click.testing import CliRunner
+
+from xplan import evaluation
+from xplan.cli import main
+from xplan.evaluation import ALL_METHODS, run_repeats, write_jsonl
+from xplan.planners import PlannerConfig
+from xplan.predictor import ForestParams
+from tests.conftest import planted_defect_data
+
+GOLDEN = Path(__file__).parent / "golden"
+
+RULES = """\
+requires cache backend
+excludes ssl legacy
+xor fast small
+or logging metrics
+"""
+# Additive runtime effect of each on/off option being on.
+EFFECTS = {"cache": -12.0, "backend": 4.0, "ssl": 9.0, "legacy": 6.0,
+           "fast": -10.0, "small": 14.0, "logging": 5.0, "metrics": 3.0}
+
+
+def write_planted(path):
+    train, test = planted_defect_data()
+    results = run_repeats(train, test, ALL_METHODS, PlannerConfig(), n=3,
+                          base_seed=1, forest_params=ForestParams(n_trees=15))
+    write_jsonl(results, path)
+
+
+def config_inputs(root, n_rows=240, seed=0):
+    """CSV, schema and rule file of a configurable system whose runtime is
+    a fixed 150 plus additive option and thread effects, with 2% noise.
+    Configurations are random and may break the rules, so plans that
+    copy them can be culled."""
+    rng = random.Random(seed)
+    lines = [",".join([*EFFECTS, "threads", "runtime"])]
+    for _ in range(n_rows):
+        on = {name: rng.random() < 0.5 for name in EFFECTS}
+        threads = rng.choice((1.0, 2.0, 4.0, 8.0))
+        runtime = 150.0 + sum(e for name, e in EFFECTS.items() if on[name])
+        runtime += 40.0 / math.sqrt(threads)
+        runtime *= 1.0 + rng.gauss(0.0, 0.02)
+        lines.append(",".join(["on" if on[n] else "off" for n in EFFECTS]
+                              + [repr(threads), repr(runtime)]))
+    (root / "data.csv").write_text("\n".join(lines) + "\n")
+    schema = {"class_mode": "numeric",
+              "features": [{"name": n, "kind": "discrete"} for n in EFFECTS]
+              + [{"name": "threads"}, {"name": "runtime", "role": "dependent"}]}
+    (root / "schema.json").write_text(json.dumps(schema))
+    (root / "rules.txt").write_text(RULES)
+
+
+def write_config(root):
+    """Run ``xplan eval`` on the configuration inputs; returns the path of
+    its results.jsonl."""
+    config_inputs(root)
+    out = root / "out"
+    res = CliRunner().invoke(main, [
+        "eval", "--data", str(root / "data.csv"), "--schema", str(root / "schema.json"),
+        "--constraints", str(root / "rules.txt"), "--methods", ",".join(ALL_METHODS),
+        "--repeats", "3", "--trees", "15", "--seed", "1", "--gamma", "0.9",
+        "--out", str(out), "--format", "json"])
+    assert res.exit_code == 0, res.output
+    return out / "results.jsonl"
+
+
+def test_planted_matches_golden(tmp_path):
+    write_planted(tmp_path / "results.jsonl")
+    assert (tmp_path / "results.jsonl").read_bytes() == (GOLDEN / "planted.jsonl").read_bytes()
+
+
+def test_config_with_rules_matches_golden(tmp_path, monkeypatch):
+    culled = []
+    check = evaluation.check_constraints
+
+    def counting(row, fm, ds):
+        violations = check(row, fm, ds)
+        culled.extend(violations[:1])
+        return violations
+
+    monkeypatch.setattr(evaluation, "check_constraints", counting)
+    path = write_config(tmp_path)
+    assert culled, "the golden run must cull at least one plan"
+    assert path.read_bytes() == (GOLDEN / "config.jsonl").read_bytes()
+
+
+if __name__ == "__main__":
+    import shutil
+    import tempfile
+
+    GOLDEN.mkdir(exist_ok=True)
+    write_planted(GOLDEN / "planted.jsonl")
+    with tempfile.TemporaryDirectory() as tmp:
+        shutil.copy(write_config(Path(tmp)), GOLDEN / "config.jsonl")

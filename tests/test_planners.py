@@ -21,6 +21,7 @@ from xplan.planners import (
     Plan,
     PlannerConfig,
     apply_plan,
+    bic_gradients,
     check_constraints,
     load_feature_model,
     plan_bic,
@@ -131,7 +132,7 @@ class TestPlanBic:
         ranking = FeatureRanking([], ["loc", "wmc", "opt"])
         z = list(clusters[0].centroid)
         z[2] = "big"
-        plan = plan_bic(clusters, ranking, z, dcfg, ds)
+        plan = plan_bic(bic_gradients(clusters, dcfg), ranking, z, dcfg, ds)
         best = clusters[1].best
         by_name = {d.feature: d for d in plan.deltas}
         assert by_name["loc"].value == pytest.approx(best[0] - z[0])
@@ -141,7 +142,7 @@ class TestPlanBic:
         ds, clusters = two_cluster_fixture()
         dcfg = DistanceConfig.from_dataset(ds)
         ranking = FeatureRanking([], ["loc", "wmc", "opt"])
-        plan = plan_bic(clusters, ranking, list(clusters[1].best), dcfg, ds)
+        plan = plan_bic(bic_gradients(clusters, dcfg), ranking, list(clusters[1].best), dcfg, ds)
         assert plan.empty
 
     def test_uniform_scores_empty(self):
@@ -150,7 +151,7 @@ class TestPlanBic:
             c.score = 0.4
         dcfg = DistanceConfig.from_dataset(ds)
         ranking = FeatureRanking([], ["loc"])
-        assert plan_bic(clusters, ranking, ds.rows[0], dcfg, ds).empty
+        assert plan_bic(bic_gradients(clusters, dcfg), ranking, ds.rows[0], dcfg, ds).empty
 
 
 def xtree_fixture():
