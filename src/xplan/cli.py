@@ -34,11 +34,21 @@ EXIT_GATE = 2
 
 
 def _load_config_file(ctx, param, value):
-    """--config supplies defaults; explicit flags still win."""
+    """--config supplies defaults keyed by option name; explicit flags win."""
     if value is None:
         return None
-    with open(value) as fh:
-        defaults = json.load(fh)
+    try:
+        with open(value) as fh:
+            defaults = json.load(fh)
+    except (OSError, ValueError):
+        defaults = None
+    if not isinstance(defaults, dict):
+        click.echo(f"--config {value}: not a readable JSON object of option values", err=True)
+        sys.exit(EXIT_DATA)
+    unknown = sorted(set(defaults) - {p.name for p in ctx.command.params if p.expose_value})
+    if unknown:
+        click.echo(f"--config {value}: unknown keys: {', '.join(unknown)}", err=True)
+        sys.exit(EXIT_DATA)
     ctx.default_map = {**defaults, **(ctx.default_map or {})}
     return value
 
@@ -164,7 +174,7 @@ def cmd_plan(method, rows, data, schema, constraints, alpha, beta, gamma, seed,
         _gate_failed(exc.score)
     for m in methods:
         for i in selected:
-            plan = arts.planners[m](test.rows[i], random.Random(f"{seed}:{i}"))
+            plan = arts.planners[m](i, random.Random(f"{seed}:{i}"))
             click.echo(json.dumps({"row": i, **plan.to_json()}, sort_keys=True))
 
 

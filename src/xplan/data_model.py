@@ -237,17 +237,12 @@ def split(ds, spec):
     return ds.replace_rows(train_rows), ds.replace_rows(test_rows)
 
 
-def normalize(ds, feature, value):
-    """Map a numeric value into [0,1] by the dataset's bounds, clamped.
+def normalize_bounds(value, lo, hi):
+    """Map a numeric value into [0,1] by the bounds (lo, hi), clamped.
 
     Degenerate bounds (constant column) normalize to 0 so the column
     contributes nothing to any distance.
     """
-    lo, hi = ds.bounds[feature]
-    return normalize_bounds(value, lo, hi)
-
-
-def normalize_bounds(value, lo, hi):
     if hi <= lo:
         return 0.0
     x = (value - lo) / (hi - lo)

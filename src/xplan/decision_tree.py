@@ -20,7 +20,7 @@ from xplan.data_model import (
     dependent_score,
 )
 from xplan.discretize import Bin, mdl_discretize
-from xplan.num_core import DistanceConfig, variability
+from xplan.num_core import DistanceConfig, distance_matrix, variability
 from xplan.where_cluster import centroid_of
 
 MIN_GAIN = 1e-6  # absolute variability reduction needed to keep a split
@@ -35,7 +35,8 @@ class TreeNode:
     split_feature: str | None = None
     branches: list = field(default_factory=list)  # (condition, child) pairs
     centroid: list | None = None       # leaves: mean/mode row of the members
-    dcfg: DistanceConfig | None = None  # root: distances between training rows
+    leaf_pos: int | None = None        # leaves: position in the root's leaves()
+    leaf_distances: list | None = None  # root: centroid distances, leaf by leaf
 
     @property
     def is_leaf(self):
@@ -61,9 +62,7 @@ def _dep_labels(train):
 
 def _dep_variability(train, ids):
     vals = [train.rows[i][train.dep_index] for i in ids]
-    if train.objective == MINIMIZE_RATE:
-        return variability(vals, DISCRETE).value
-    return variability(vals, NUMERIC).value
+    return variability(vals, DISCRETE if train.objective == MINIMIZE_RATE else NUMERIC)
 
 
 def _candidate_split(train, labels, ids, feat):
@@ -143,9 +142,12 @@ def build_tree(train, alpha=None):
         return node
 
     root = grow(list(range(n)), 0, None)
-    root.dcfg = DistanceConfig.from_dataset(train)
-    for leaf in root.leaves():
+    leaves = root.leaves()
+    for pos, leaf in enumerate(leaves):
         leaf.centroid = centroid_of([train.rows[i] for i in leaf.members], train.features)
+        leaf.leaf_pos = pos
+    centroids = [leaf.centroid for leaf in leaves]
+    root.leaf_distances = distance_matrix(centroids, centroids, DistanceConfig.from_dataset(train)).tolist()
     return root
 
 

@@ -9,6 +9,7 @@ beta fraction.
 
 from __future__ import annotations
 
+import bisect
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -60,21 +61,34 @@ def _mdl_accepts(labels, left, right):
 
 
 def _find_cuts(pairs):
-    """Recursive cut search over (value, label) pairs sorted by value."""
+    """Recursive cut search over (value, label) pairs sorted by value: one
+    scan per level moves each label from the right-hand class counts to the
+    left-hand ones. Each side sums its entropy terms in the order in which
+    labels first appear on it, as ``Counter`` over the slice does, so every
+    entropy and cut equals counting afresh."""
     n = len(pairs)
-    if n < 2:
-        return []
     labels = [lab for _, lab in pairs]
-    if len(set(labels)) < 2:
+    right = Counter(labels)
+    if len(right) < 2:
         return []
-    base = _label_entropy(labels)
+    # following[j]: next position after j with the same label (n if none);
+    # order: (first position on the right side, label), ascending
+    following, first = [n] * n, {}
+    for j in range(n - 1, -1, -1):
+        following[j], first[labels[j]] = first.get(labels[j], n), j
+    order = sorted((j, lab) for lab, j in first.items())
+    left = {}
     best = None
     for i in range(1, n):
+        lab = labels[i - 1]
+        left[lab] = left.get(lab, 0) + 1
+        right[lab] -= 1
+        order.pop(0)  # position i - 1 was the first on the right
+        if following[i - 1] < n:
+            bisect.insort(order, (following[i - 1], lab))
         if pairs[i][0] == pairs[i - 1][0]:
             continue
-        left = labels[:i]
-        right = labels[i:]
-        e = (i / n) * _label_entropy(left) + ((n - i) / n) * _label_entropy(right)
+        e = (i / n) * entropy(left.values()) + ((n - i) / n) * entropy([right[k] for _, k in order])
         if best is None or e < best[0]:
             best = (e, i)
     if best is None:

@@ -16,18 +16,19 @@ import csv
 import json
 import math
 import random
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from functools import cached_property
 
 import numpy as np
 
 from xplan.discretize import rank_features
 from xplan.decision_tree import build_tree
-from xplan.num_core import DistanceConfig, distance_matrix
+from xplan.num_core import DistanceConfig, distance, encode
 from xplan.planners import (
     Plan,
     apply_plan,
     bic_gradients,
+    cd_targets,
     check_constraints,
     plan_bic,
     plan_cd,
@@ -72,19 +73,7 @@ class ExperimentResult:
     ratio_defined: bool = True
 
     def to_json(self):
-        return {
-            "method": self.method,
-            "seed": self.seed,
-            "ratio": None if math.isnan(self.ratio) else self.ratio,
-            "before": self.before,
-            "after": self.after,
-            "plans_emitted": self.plans_emitted,
-            "empty_plans": self.empty_plans,
-            "changed_features": self.changed_features,
-            "trust_before": self.trust_before,
-            "trust_after": self.trust_after,
-            "ratio_defined": self.ratio_defined,
-        }
+        return {**asdict(self), "ratio": None if math.isnan(self.ratio) else self.ratio}
 
     @classmethod
     def from_json(cls, raw):
@@ -117,8 +106,8 @@ def _total(mode, preds):
 
 class RunArtifacts:
     """One train/test split with its planner settings, feature model and
-    forest parameters, plus what every seed of a run shares. Built once,
-    on first use: the training distance config, xtree's tree with its leaf
+    forest parameters, plus what every seed of a run shares: the encoded
+    train and test rows and, built on first use, xtree's tree with its leaf
     centroids (``build_tree`` draws no random numbers) and each test row's
     distance to its nearest training row."""
 
@@ -129,6 +118,8 @@ class RunArtifacts:
         self.fm = fm
         self.forest_params = forest_params or ForestParams()
         self.dcfg = DistanceConfig.from_dataset(train)
+        self.encoded_train = encode(train.rows, self.dcfg)
+        self.encoded_test = encode(test.rows, self.dcfg)
 
     @cached_property
     def tree(self):
@@ -137,7 +128,7 @@ class RunArtifacts:
     @cached_property
     def nearest(self):
         """Distance from each test row to its nearest training row."""
-        return nearest_distances(self.train, self.test.rows, self.dcfg)
+        return nearest_distances(self.encoded_train, self.encoded_test)
 
     def for_seed(self, seed, methods):
         """Fit and gate this seed's forest, predict the untouched test rows
@@ -154,27 +145,33 @@ class RunArtifacts:
         return SeedArtifacts(self, seed, model, before, self._planners(seed, methods))
 
     def _planners(self, seed, methods):
-        """Per-row plan functions ``(row, row_rng) -> Plan``. cd, cdfs and
-        bic share one clustering of this seed, cdfs and bic one ranking."""
-        train, cfg, dcfg = self.train, self.cfg, self.dcfg
+        """Per-row plan functions ``(test row index, row_rng) -> Plan``. cd,
+        cdfs and bic share one clustering of this seed and the test rows'
+        centroid distances, cdfs and bic one ranking; cdfs filters cd's plans."""
+        train, test, cfg = self.train, self.test, self.cfg
         wanted = set(methods)
-        planners = {"identity": lambda z, row_rng: Plan([], "identity")}
+        planners = {"identity": lambda i, row_rng: Plan([], "identity")}
         if "xtree" in wanted:
             tree = self.tree
-            planners["xtree"] = lambda z, row_rng: plan_xtree(tree, z, cfg, row_rng, train)
+            planners["xtree"] = lambda i, row_rng: plan_xtree(tree, test.rows[i], cfg, row_rng, train)
         if wanted & {"cd", "cdfs", "bic"}:
-            clusters = cluster(train, ClusterConfig(cfg.alpha), random.Random(f"{seed}:artifacts"))
-            planners["cd"] = lambda z, row_rng: plan_cd(clusters, z, dcfg, train)
+            rng = random.Random(f"{seed}:artifacts")
+            clusters = cluster(train, ClusterConfig(cfg.alpha), rng, self.encoded_train)
+            centroids = encode([c.centroid for c in clusters], self.dcfg)
+            to_centroids = distance(self.encoded_test, centroids)
+        if wanted & {"cd", "cdfs"}:
+            targets = cd_targets(clusters, centroids)
+            cd_plans = [plan_cd(clusters, targets, d, train) for d in to_centroids]
+            planners["cd"] = lambda i, row_rng: cd_plans[i]
         if wanted & {"cdfs", "bic"}:
-            ids = [None] * len(train.rows)
-            for c in clusters:
-                for i in c.members:
-                    ids[i] = c.index
-            ranking = rank_features(train, ids, cfg.beta)
-            planners["cdfs"] = lambda z, row_rng: plan_cdfs(clusters, ranking, z, dcfg, train)
+            ids = {i: c.index for c in clusters for i in c.members}
+            ranking = rank_features(train, [ids[i] for i in range(len(train.rows))], cfg.beta)
+        if "cdfs" in wanted:
+            planners["cdfs"] = lambda i, row_rng: plan_cdfs(cd_plans[i], ranking)
         if "bic" in wanted:
-            gradients = bic_gradients(clusters, dcfg)
-            planners["bic"] = lambda z, row_rng: plan_bic(gradients, ranking, z, dcfg, train)
+            gradients = bic_gradients(clusters, centroids)
+            planners["bic"] = lambda i, row_rng: plan_bic(gradients, ranking, test.rows[i],
+                                                          to_centroids[i], train)
         return planners
 
 
@@ -187,16 +184,17 @@ class SeedArtifacts:
     seed: int
     model: ForestModel
     before: float
-    planners: dict  # method -> (row, row_rng) -> Plan
+    planners: dict  # method -> (test row index, row_rng) -> Plan
 
 
-def nearest_distances(train, rows, dcfg):
-    """Distance from each row to its nearest training row."""
-    return distance_matrix(rows, train.rows, dcfg).min(axis=1)
+def nearest_distances(train, rows):
+    """Distance from each encoded row to its nearest encoded training row."""
+    return distance(rows, train).min(axis=1)
 
 
-def trust_report(train, test_rows, changed_rows, before, dcfg):
-    """Mean nearest-training-row distance before and after the changes.
+def trust_report(train, test_rows, changed_rows, before):
+    """Mean distance to the nearest of the encoded training rows before
+    and after the changes.
 
     ``before`` holds the nearest distances of ``test_rows``; a changed row
     equal to its test row keeps that distance, the others are measured.
@@ -204,7 +202,7 @@ def trust_report(train, test_rows, changed_rows, before, dcfg):
     after = before.copy()
     moved = [i for i, (z, c) in enumerate(zip(test_rows, changed_rows)) if c != z]
     if moved:
-        after[moved] = nearest_distances(train, [changed_rows[i] for i in moved], dcfg)
+        after[moved] = nearest_distances(train, encode([changed_rows[i] for i in moved], train.cfg))
     return TrustReport(
         float(np.mean(before)),
         float(np.mean(after)),
@@ -223,7 +221,7 @@ def run_experiment(train, test, method, arts):
     touched = set()
     for i, z in enumerate(test.rows):
         row_rng = random.Random(f"{seed}:{i}")
-        plan = planner(z, row_rng)
+        plan = planner(i, row_rng)
         if not plan.empty:
             candidate = apply_plan(z, plan, train)
             if run.fm is not None and check_constraints(candidate, run.fm, train):
@@ -242,7 +240,7 @@ def run_experiment(train, test, method, arts):
     before = arts.before
     after = _total(arts.model.mode, arts.model.predict(changed))
     ratio = after / before if before > 0 else math.nan
-    trust = trust_report(train, test.rows, changed, run.nearest, run.dcfg)
+    trust = trust_report(run.encoded_train, test.rows, changed, run.nearest)
     return ExperimentResult(
         method=method,
         seed=seed,

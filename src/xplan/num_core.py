@@ -4,7 +4,8 @@ Variability is population standard deviation for numeric columns and
 base-2 entropy for discrete ones. Distance is a weighted Euclidean over
 the independent features, with numerics normalized to [0,1] by the
 training bounds, discrete mismatch counting 1, and missing values
-resolved pessimistically (a fully-missing pair contributes 1).
+resolved pessimistically (a fully-missing pair contributes 1), over
+rows encoded once into numpy columns.
 """
 
 from __future__ import annotations
@@ -12,16 +13,10 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
 from xplan.data_model import DISCRETE, INDEPENDENT, NUMERIC, normalize_bounds
-
-
-class Variability(NamedTuple):
-    value: float
-    kind: str  # "numeric" -> std dev, "discrete" -> entropy
 
 
 def entropy(counts):
@@ -36,17 +31,17 @@ def entropy(counts):
 
 
 def variability(column, kind):
+    """Standard deviation (numeric) or entropy (discrete) of a column."""
     if not column:
         raise ValueError("variability of an empty column")
     if kind == NUMERIC:
         vals = [v for v in column if v is not None]
         if not vals:
-            return Variability(0.0, kind)
+            return 0.0
         mean = sum(vals) / len(vals)
-        var = sum((v - mean) ** 2 for v in vals) / len(vals)
-        return Variability(math.sqrt(var), kind)
+        return math.sqrt(sum((v - mean) ** 2 for v in vals) / len(vals))
     if kind == DISCRETE:
-        return Variability(entropy(Counter(column).values()), kind)
+        return entropy(Counter(column).values())
     raise ValueError(f"bad kind {kind!r}")
 
 
@@ -59,95 +54,77 @@ class DistanceConfig:
     kinds: list
     weights: list
     bounds: dict         # per numeric feature: (min, max) from training
-    _cache: dict = field(default_factory=dict, repr=False)
+    arity: int           # cells per row, dependent and meta columns included
+    codes: dict = field(default_factory=dict, repr=False)  # per discrete: symbol -> code
 
     @classmethod
     def from_dataset(cls, ds):
-        names, indices, kinds, weights = [], [], [], []
-        for i, f in enumerate(ds.features):
-            if f.role != INDEPENDENT:
-                continue
-            names.append(f.name)
-            indices.append(i)
-            kinds.append(f.kind)
-            weights.append(f.weight)
-        return cls(names, indices, kinds, weights, dict(ds.bounds))
-
-    def norm(self, name, value):
-        lo, hi = self.bounds.get(name, (0.0, 0.0))
-        return normalize_bounds(value, lo, hi)
+        feats = [(i, f) for i, f in enumerate(ds.features) if f.role == INDEPENDENT]
+        return cls([f.name for _, f in feats], [i for i, _ in feats], [f.kind for _, f in feats],
+                   [f.weight for _, f in feats], dict(ds.bounds), len(ds.features))
 
 
-def _feature_delta(a, b, kind, cfg, name):
-    if a is None and b is None:
-        return 1.0
-    if kind == NUMERIC:
-        if a is None or b is None:
-            v = cfg.norm(name, b if a is None else a)
-            return max(v, 1.0 - v)  # worst-case substitution for the gap
-        return abs(cfg.norm(name, a) - cfg.norm(name, b))
-    if a is None or b is None:
-        return 1.0  # a differing symbol always exists in the worst case
-    return 0.0 if a == b else 1.0
+@dataclass
+class Encoded:
+    """Rows as one numpy column per independent feature: normalized floats
+    (NaN = missing) for numerics, symbol codes (-1 = missing) for
+    discretes. Tables encoded with the same config share the codes."""
+
+    cfg: DistanceConfig
+    cols: list
+    n: int
+
+    def __len__(self):
+        return self.n
+
+    def take(self, idx):
+        """The rows at the given positions, as a new table."""
+        return Encoded(self.cfg, [c[idx] for c in self.cols], len(idx))
 
 
-def distance(x, y, cfg):
-    """Weighted Euclidean distance between two rows (independents only)."""
-    if len(x) != len(y):
+def encode(rows, cfg):
+    """Encode rows of cfg's schema for ``distance``."""
+    if any(len(r) != cfg.arity for r in rows):
         raise ValueError("rows from different schemas")
-    total = 0.0
-    for name, i, kind, w in zip(cfg.names, cfg.indices, cfg.kinds, cfg.weights):
-        d = _feature_delta(x[i], y[i], kind, cfg, name)
-        total += w * d * d
-    return math.sqrt(total)
-
-
-def _encode(rows, cfg):
-    """Per-feature numpy columns: normalized floats (NaN=missing) for
-    numerics, symbol codes (-1=missing) for discretes."""
     cols = []
     for name, i, kind in zip(cfg.names, cfg.indices, cfg.kinds):
         if kind == NUMERIC:
-            col = np.array(
-                [math.nan if r[i] is None else cfg.norm(name, r[i]) for r in rows],
-                dtype=float,
-            )
+            lo, hi = cfg.bounds.get(name, (0.0, 0.0))
+            cells = [math.nan if r[i] is None else normalize_bounds(r[i], lo, hi) for r in rows]
+            cols.append(np.array(cells, dtype=float))
         else:
-            codes = cfg._cache.setdefault(("codes", name), {})
-            out = np.empty(len(rows), dtype=np.int64)
-            for j, r in enumerate(rows):
-                v = r[i]
-                if v is None:
-                    out[j] = -1
-                else:
-                    out[j] = codes.setdefault(v, len(codes))
-            col = out
-        cols.append(col)
-    return cols
+            codes = cfg.codes.setdefault(name, {})
+            cells = [-1 if r[i] is None else codes.setdefault(r[i], len(codes)) for r in rows]
+            cols.append(np.array(cells, dtype=np.int64))
+    return Encoded(cfg, cols, len(rows))
+
+
+def distance(a, b):
+    """All pairwise distances between two encoded tables, as a
+    (len(a), len(b)) array. Each cell is summed feature by feature in
+    schema order, exactly as a scalar loop over one pair would sum it."""
+    total = np.zeros((len(a), len(b)))
+    for kind, w, ca, cb in zip(a.cfg.kinds, a.cfg.weights, a.cols, b.cols):
+        if kind == NUMERIC:
+            d = ca[:, None] - cb[None, :]
+            np.abs(d, out=d)
+            miss_a, miss_b = np.isnan(ca), np.isnan(cb)
+            if miss_a.any() or miss_b.any():
+                # a one-sided gap takes the far end of [0,1] from the value
+                # that is present; a two-sided gap counts 1
+                d = np.where(miss_b[None, :], np.maximum(ca, 1.0 - ca)[:, None], d)
+                d = np.where(miss_a[:, None], np.maximum(cb, 1.0 - cb)[None, :], d)
+                d[miss_a[:, None] & miss_b[None, :]] = 1.0
+        else:
+            # a missing symbol differs in the worst case
+            d = (ca[:, None] != cb[None, :]) | (ca < 0)[:, None] | (cb < 0)[None, :]
+            d = d.astype(float)
+        term = w * d
+        term *= d
+        total += term
+    return np.sqrt(total, out=total)
 
 
 def distance_matrix(rows_a, rows_b, cfg):
-    """All pairwise distances as a (len(a), len(b)) array.
-
-    Vectorized twin of distance(); the two are cross-checked in tests.
-    """
-    acols = _encode(rows_a, cfg)
-    bcols = _encode(rows_b, cfg)
-    total = np.zeros((len(rows_a), len(rows_b)))
-    for kind, w, ca, cb in zip(cfg.kinds, cfg.weights, acols, bcols):
-        if kind == NUMERIC:
-            a = ca[:, None]
-            b = cb[None, :]
-            d = np.abs(a - b)
-            only_a = np.isnan(b) & ~np.isnan(a)
-            only_b = np.isnan(a) & ~np.isnan(b)
-            d = np.where(only_a, np.maximum(a, 1.0 - a), d)
-            d = np.where(only_b, np.maximum(b, 1.0 - b), d)
-            d = np.where(np.isnan(a) & np.isnan(b), 1.0, d)
-        else:
-            a = ca[:, None]
-            b = cb[None, :]
-            d = (a != b).astype(float)
-            d = np.where((a < 0) | (b < 0), 1.0, d)
-        total += w * d * d
-    return np.sqrt(total)
+    """All pairwise distances between two lists of rows."""
+    return distance(encode(rows_a, cfg), encode(rows_b, cfg))

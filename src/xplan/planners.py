@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from xplan.data_model import DISCRETE, INDEPENDENT, NUMERIC, DataError
+from xplan.data_model import INDEPENDENT, NUMERIC, DataError
 from xplan.decision_tree import branch_path, locate_leaf, siblings_at_level
 from xplan.discretize import Bin
 from xplan.num_core import distance
@@ -72,70 +72,70 @@ class PlannerConfig:
 def _centroid_deltas(src, dst, ds):
     """Per-feature deltas moving a row from src toward dst."""
     deltas = []
-    for f in ds.features:
-        if f.role != INDEPENDENT:
-            continue
-        i = ds.index(f.name)
+    for i, f in enumerate(ds.features):
         a, b = src[i], dst[i]
-        if a is None or b is None:
+        if f.role != INDEPENDENT or a is None or b is None or a == b:
             continue
-        if f.kind == NUMERIC:
-            if a != b:
-                deltas.append(Delta(f.name, SHIFT, b - a))
-        elif a != b:
-            deltas.append(Delta(f.name, SET, b))
+        deltas.append(Delta(f.name, SHIFT, b - a) if f.kind == NUMERIC else Delta(f.name, SET, b))
     return deltas
 
 
-def plan_cd(clusters, z, dcfg, ds):
-    """Method1: delta between the nearest centroid and the closest better one."""
-    if len(clusters) < 2 or len({c.score for c in clusters}) < 2:
-        return Plan([], "cd")
-    here = nearest_cluster(z, clusters, dcfg)
-    better = [c for c in clusters if c.score < here.score]
-    if not better:
+# cd and bic take the clusters in index order, as ``cluster`` returns them,
+# and their encoded centroids or a row's distances to them in that order.
+
+def cd_targets(clusters, centroids):
+    """Method1's target of each cluster: the closest strictly better
+    cluster (lowest index on ties), or None."""
+    d = distance(centroids, centroids).tolist()
+    return [
+        min((o for o in clusters if o.score < c.score),
+            key=lambda o: (d[c.index][o.index], o.index), default=None)
+        for c in clusters
+    ]
+
+
+def plan_cd(clusters, targets, to_centroids, ds):
+    """Method1: delta between the nearest centroid and its target from
+    ``cd_targets``."""
+    here = nearest_cluster(to_centroids, clusters)
+    target = targets[here.index]
+    if target is None:
         return Plan([], "cd", {"source": here.index})
-    target = min(better, key=lambda c: (distance(here.centroid, c.centroid, dcfg), c.index))
     deltas = _centroid_deltas(here.centroid, target.centroid, ds)
     return Plan(deltas, "cd", {"source": here.index, "target": target.index})
 
 
-def plan_cdfs(clusters, ranking, z, dcfg, ds):
-    """Method2: Method1 restricted to the most informative features."""
-    base = plan_cd(clusters, z, dcfg, ds)
+def plan_cdfs(base, ranking):
+    """Method2: a Method1 plan restricted to the most informative features."""
     keep = set(ranking.selected)
     return Plan([d for d in base.deltas if d.feature in keep], "cdfs", base.provenance)
 
 
-def bic_gradients(clusters, dcfg):
+def bic_gradients(clusters, centroids):
     """Method3's inter-centroid gradients: each cluster paired with its
     nearest neighbour cluster as (bottom, top), worse end first; pairs
     of equal score are skipped."""
+    d = distance(centroids, centroids).tolist()
     gradients = []
     for c in clusters:
-        others = [o for o in clusters if o is not c]
-        if not others:
-            continue
-        nn = min(others, key=lambda o: (distance(c.centroid, o.centroid, dcfg), o.index))
-        if c.score == nn.score:
+        others = (o for o in clusters if o is not c)
+        nn = min(others, key=lambda o: (d[c.index][o.index], o.index), default=None)
+        if nn is None or c.score == nn.score:
             continue
         bottom, top = (c, nn) if c.score > nn.score else (nn, c)
         gradients.append((bottom, top))
     return gradients
 
 
-def plan_bic(gradients, ranking, z, dcfg, ds):
-    """Method3: ride the nearest inter-centroid gradient (from
-    ``bic_gradients``) up to its best end, then copy that cluster's
-    best-in-cluster example."""
+def plan_bic(gradients, ranking, z, to_centroids, ds):
+    """Method3: ride the inter-centroid gradient (from ``bic_gradients``)
+    with the end nearest the row up to its best end, then copy that
+    cluster's best-in-cluster example."""
     if not gradients:
         return Plan([], "bic")
     bottom, top = min(
         gradients,
-        key=lambda g: (
-            min(distance(z, g[0].centroid, dcfg), distance(z, g[1].centroid, dcfg)),
-            g[0].index,
-        ),
+        key=lambda g: (min(to_centroids[g[0].index], to_centroids[g[1].index]), g[0].index),
     )
     keep = set(ranking.selected)
     deltas = [d for d in _centroid_deltas(z, top.best, ds) if d.feature in keep]
@@ -154,9 +154,8 @@ def plan_xtree(tree, z, cfg, rng, ds):
             return Plan([], "xtree", {"exhausted": True})
         better = [s for s in siblings if s.score < cfg.gamma * current.score]
         if better:
-            desired = min(
-                better, key=lambda s: distance(current.centroid, s.centroid, tree.dcfg)
-            )  # min() keeps the leftmost leaf on ties
+            near = tree.leaf_distances[current.leaf_pos]
+            desired = min(better, key=lambda s: near[s.leaf_pos])  # leftmost on ties
             break
         lvl += 1
 

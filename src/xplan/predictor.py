@@ -24,7 +24,7 @@ from xplan.data_model import (
     SplitSpec,
     split,
 )
-from xplan.num_core import DistanceConfig, distance
+from xplan.num_core import DistanceConfig, distance, encode
 
 CLASSIFY = "classify"
 REGRESS = "regress"
@@ -271,17 +271,19 @@ def smote(train, k=5, target=1.0, rng=None):
     want = math.ceil(target * len(majority)) - len(minority)
     if want <= 0 or not minority:
         return train
-    dcfg = DistanceConfig.from_dataset(train)
     min_rows = [train.rows[i] for i in minority]
+    encoded = encode(min_rows, DistanceConfig.from_dataset(train))
     synthetic = []
     for step in range(want):
-        base = min_rows[step % len(min_rows)]
+        p = step % len(min_rows)
+        base = min_rows[p]
         if len(min_rows) < 2:
             nn = base  # duplicate-with-jitter fallback
         else:
-            others = [r for r in min_rows if r is not base]
-            others.sort(key=lambda r: distance(base, r, dcfg))
-            nn = others[rng.randrange(min(k, len(others)))]
+            others = np.delete(np.arange(len(min_rows)), p)
+            d = distance(encoded.take([p]), encoded.take(others))[0]
+            near = others[np.argsort(d, kind="stable")[:k]]  # stable: ties keep row order
+            nn = min_rows[near[rng.randrange(len(near))]]
         u = rng.random()
         row = []
         for i, f in enumerate(train.features):

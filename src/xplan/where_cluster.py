@@ -11,15 +11,19 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 
-from xplan.data_model import DISCRETE, NUMERIC, dependent_score
-from xplan.num_core import DistanceConfig, distance
+import numpy as np
+
+from xplan.data_model import NUMERIC, dependent_score
+from xplan.num_core import DistanceConfig, distance, encode
 
 
 @dataclass
 class PivotPair:
-    x: list   # pivot rows, not copies
-    y: list
-    c: float  # distance(x, y)
+    x: int            # positions of the pivot rows in the encoded table
+    y: int
+    c: float          # distance(x, y)
+    to_x: np.ndarray  # distance of every row to x
+    to_y: np.ndarray  # distance of every row to y
 
 
 @dataclass
@@ -40,23 +44,22 @@ class ClusterSummary:
     score: float
 
 
-def fastmap_pivots(rows, cfg, rng):
-    """Random row W -> X farthest from W -> Y farthest from X."""
+def fastmap_pivots(rows, rng):
+    """Random row W -> X farthest from W -> Y farthest from X, over encoded rows."""
     if len(rows) < 2:
         raise ValueError("need at least 2 rows to pick pivots")
-    w = rows[rng.randrange(len(rows))]
-    x = max(rows, key=lambda r: distance(w, r, cfg))
-    y = max(rows, key=lambda r: distance(x, r, cfg))
-    return PivotPair(x, y, distance(x, y, cfg))
+    w = rng.randrange(len(rows))
+    x = int(distance(rows.take([w]), rows)[0].argmax())
+    to_x = distance(rows.take([x]), rows)[0]
+    y = int(to_x.argmax())
+    return PivotPair(x, y, float(to_x[y]), to_x, distance(rows.take([y]), rows)[0])
 
 
-def project(z, pivots, cfg):
-    """Position of z on the X->Y axis by the cosine rule."""
-    if pivots.c <= 0:
+def project(a, b, c):
+    """Position on the X->Y axis by the cosine rule, from the distances a
+    to X and b to Y (scalars or arrays) and the pivot separation c."""
+    if c <= 0:
         raise ValueError("degenerate pivots (zero separation)")
-    a = distance(z, pivots.x, cfg)
-    b = distance(z, pivots.y, cfg)
-    c = pivots.c
     return (a * a + c * c - b * b) / (2 * c)
 
 
@@ -86,9 +89,11 @@ def _summarize(index, member_ids, ds, rng):
     return ClusterSummary(index, list(member_ids), centroid_of(rows, ds.features), best, score)
 
 
-def cluster(train, cfg, rng):
-    """Recursively bisect the training rows; returns leaf summaries."""
-    dcfg = DistanceConfig.from_dataset(train)
+def cluster(train, cfg, rng, rows=None):
+    """Recursively bisect the training rows (encoded here unless given as
+    ``rows``); returns leaf summaries."""
+    if rows is None:
+        rows = encode(train.rows, DistanceConfig.from_dataset(train))
     alpha = cfg.resolve_alpha(len(train.rows))
     leaves = []
 
@@ -96,24 +101,21 @@ def cluster(train, cfg, rng):
         if len(ids) <= alpha or len(ids) < 2:
             leaves.append(ids)
             return
-        rows = [train.rows[i] for i in ids]
-        pivots = fastmap_pivots(rows, dcfg, rng)
+        pivots = fastmap_pivots(rows.take(ids), rng)
         if pivots.c <= 0:
             leaves.append(ids)  # zero-diameter cloud, nothing to split
             return
-        projected = sorted(
-            range(len(ids)), key=lambda k: (project(rows[k], pivots, dcfg), k)
-        )
+        proj = project(pivots.to_x, pivots.to_y, pivots.c)
+        order = ids[np.argsort(proj, kind="stable")]  # ties keep their order in ids
         mid = (len(ids) + 1) // 2
-        recurse([ids[k] for k in projected[:mid]])
-        recurse([ids[k] for k in projected[mid:]])
+        recurse(order[:mid])
+        recurse(order[mid:])
 
-    recurse(list(range(len(train.rows))))
-    return [_summarize(i, ids, train, rng) for i, ids in enumerate(leaves)]
+    recurse(np.arange(len(train.rows)))
+    return [_summarize(i, ids.tolist(), train, rng) for i, ids in enumerate(leaves)]
 
 
-def nearest_cluster(z, clusters, dcfg):
-    """Cluster with the closest centroid; ties go to the lowest index."""
-    if not clusters:
-        raise ValueError("no clusters")
-    return min(clusters, key=lambda c: (distance(z, c.centroid, dcfg), c.index))
+def nearest_cluster(to_centroids, clusters):
+    """Cluster with the closest centroid, from a row's distance to each
+    centroid in cluster order; ties go to the lowest index."""
+    return clusters[int(np.argmin(to_centroids))]  # ValueError when there are none

@@ -16,7 +16,7 @@ import pytest
 from xplan.data_model import MINIMIZE_RATE, Dataset, FeatureSpec
 from xplan.discretize import mdl_discretize
 from xplan.evaluation import change_frequency, run_repeats
-from xplan.num_core import DistanceConfig, distance
+from xplan.num_core import DistanceConfig, distance, encode
 from xplan.planners import PlannerConfig
 from xplan.predictor import (
     CLASSIFY,
@@ -29,7 +29,7 @@ from xplan.predictor import (
     tune_de,
 )
 from xplan.scott_knott import MethodSamples, a12, scott_knott_rank
-from xplan.where_cluster import ClusterConfig, PivotPair, cluster, project
+from xplan.where_cluster import ClusterConfig, cluster, project
 from tests.conftest import planted_defect_data, two_blob_data
 
 REPEATS = 40
@@ -126,14 +126,17 @@ class TestProjectionIdentities:
         while checked < 1000:
             a = [rng.uniform(0, 100), rng.uniform(0, 100), False]
             b = [rng.uniform(0, 100), rng.uniform(0, 100), False]
-            c = distance(a, b, cfg)
+            mid = [(a[0] + b[0]) / 2, (a[1] + b[1]) / 2, False]
+            rows = encode([a, b, mid], cfg)
+            to_a = distance(rows, rows.take([0]))[:, 0]
+            to_b = distance(rows, rows.take([1]))[:, 0]
+            c = to_a[1]
             if c <= 0:
                 continue
-            p = PivotPair(a, b, c)
-            assert abs(project(a, p, cfg)) < 1e-9
-            assert abs(project(b, p, cfg) - c) < 1e-9
-            mid = [(a[0] + b[0]) / 2, (a[1] + b[1]) / 2, False]
-            assert abs(project(mid, p, cfg) - c / 2) < 1e-9
+            pa, pb, pmid = project(to_a, to_b, c)
+            assert abs(pa) < 1e-9
+            assert abs(pb - c) < 1e-9
+            assert abs(pmid - c / 2) < 1e-9
             checked += 1
 
     def test_clustering_partitions_every_fixture(self):

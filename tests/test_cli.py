@@ -187,6 +187,26 @@ class TestEval:
         assert (tmp_path / "override" / "results.jsonl").exists()
         assert not (tmp_path / "from_cfg").exists()
 
+    def test_unknown_config_keys_exit_1(self, workdir, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"treez": 3, "split-mode": "x", "trees": 15}))
+        for command in (["eval", "--out", str(tmp_path / "r")], ["plan"]):
+            res = runner.invoke(main, command + ["--config", str(cfg)] + base_args(workdir))
+            assert res.exit_code == 1
+            assert stderr_of(res).strip() == f"--config {cfg}: unknown keys: split-mode, treez"
+        assert not (tmp_path / "r").exists()
+
+    def test_config_that_is_not_an_object_exits_1(self, workdir, tmp_path):
+        for text in ("[1, 2]", "{not json", None):
+            cfg = tmp_path / "cfg.json"
+            if text is None:
+                cfg = tmp_path  # a directory
+            else:
+                cfg.write_text(text)
+            res = runner.invoke(main, ["plan", "--config", str(cfg)] + base_args(workdir))
+            assert res.exit_code == 1
+            assert "not a readable JSON object" in stderr_of(res)
+
 
 class TestReport:
     def test_report_from_saved_results(self, workdir, tmp_path):

@@ -14,7 +14,7 @@ from xplan.data_model import (
     dependent_score,
     load_csv,
     load_schema,
-    normalize,
+    normalize_bounds,
     save_csv,
     split,
 )
@@ -167,11 +167,11 @@ def test_train_bounds_recomputed_after_split(tmp_path):
 def test_normalize_midpoint_boundary_and_degenerate():
     feats = [FeatureSpec("x"), FeatureSpec("bug", role="dependent")]
     ds = Dataset(feats, [[10.0, False], [20.0, True]], MINIMIZE_RATE)
-    assert normalize(ds, "x", 15) == 0.5
-    assert normalize(ds, "x", 10) == 0.0
-    assert normalize(ds, "x", 25) == 1.0  # clamps
+    assert normalize_bounds(15, *ds.bounds["x"]) == 0.5
+    assert normalize_bounds(10, *ds.bounds["x"]) == 0.0
+    assert normalize_bounds(25, *ds.bounds["x"]) == 1.0  # clamps
     degenerate = Dataset(feats, [[5.0, False], [5.0, True]], MINIMIZE_RATE)
-    assert normalize(degenerate, "x", 5) == 0.0
+    assert normalize_bounds(5, *degenerate.bounds["x"]) == 0.0
 
 
 @given(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6))
@@ -179,7 +179,7 @@ def test_normalize_monotone(v1, v2):
     feats = [FeatureSpec("x"), FeatureSpec("bug", role="dependent")]
     ds = Dataset(feats, [[0.0, False], [100.0, True]], MINIMIZE_RATE)
     lo, hi = sorted([v1, v2])
-    assert normalize(ds, "x", lo) <= normalize(ds, "x", hi)
+    assert normalize_bounds(lo, *ds.bounds["x"]) <= normalize_bounds(hi, *ds.bounds["x"])
 
 
 def test_csv_roundtrip_bit_exact(tmp_path):

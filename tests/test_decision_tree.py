@@ -58,8 +58,8 @@ class TestBuildTree:
         on = [v for r, v in zip(ds.rows, dep) if r[0] == "on"]
         off = [v for r, v in zip(ds.rows, dep) if r[0] == "off"]
         flag_spread = (
-            len(on) / len(dep) * variability(on, "discrete").value
-            + len(off) / len(dep) * variability(off, "discrete").value
+            len(on) / len(dep) * variability(on, "discrete")
+            + len(off) / len(dep) * variability(off, "discrete")
         )
         assert flag_spread == 0
         assert tree.split_feature == "flag"

@@ -3,10 +3,12 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from xplan.data_model import MINIMIZE_RATE, Dataset, FeatureSpec
-from xplan.discretize import mdl_discretize, rank_features
+from xplan.discretize import _find_cuts, mdl_discretize, rank_features
 from xplan.num_core import entropy
+from tests import oracle
 
 
 def mdl_oracle_one_cut(values, labels):
@@ -98,6 +100,58 @@ class TestMdlDiscretize:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             mdl_discretize([1, 2], ["a"], "v")
+
+
+@st.composite
+def sorted_pairs(draw, max_labels):
+    """(value, label) pairs sorted by value, over a few distinct values (so
+    many ties) and 2..max_labels labels that follow value bands with some
+    noise, so that cuts are found and accepted at several levels."""
+    n = draw(st.integers(0, 150))
+    k = draw(st.integers(2, max_labels))
+    top = draw(st.integers(0, 15))
+    bands = draw(st.integers(k, 3 * k))
+    noise = draw(st.sampled_from([0.0, 0.1, 0.3, 1.0]))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    pairs = []
+    for _ in range(n):
+        v = rng.randint(0, top)
+        label = rng.randrange(k) if rng.random() < noise else v * bands // (top + 1) % k
+        pairs.append((v / 2, f"c{label}"))
+    return sorted(pairs, key=lambda p: p[0])
+
+
+class TestCutScanMatchesQuadraticSearch:
+    @settings(max_examples=300, deadline=None)
+    @given(sorted_pairs(max_labels=2))
+    def test_two_labels(self, pairs):
+        assert _find_cuts(pairs) == oracle.find_cuts(pairs)
+
+    @settings(max_examples=300, deadline=None)
+    @given(sorted_pairs(max_labels=40))
+    def test_up_to_forty_labels(self, pairs):
+        assert _find_cuts(pairs) == oracle.find_cuts(pairs)
+
+    @pytest.mark.parametrize("pairs", [
+        [(0.0, "c0"), (0.0, "c0"), (0.0, "c0"), (0.5, "c0"), (1.0, "c1"), (1.0, "c1"),
+         (1.5, "c1"), (1.5, "c1"), (1.5, "c1"), (2.0, "c2"), (2.5, "c1"), (3.0, "c3"),
+         (3.0, "c3"), (3.0, "c3"), (3.5, "c0")],
+        [(0.5, "c1"), (0.5, "c1"), (0.5, "c1"), (1.0, "c2"), (1.0, "c2"), (1.5, "c4"),
+         (2.0, "c5"), (2.0, "c5"), (2.5, "c7"), (3.0, "c8"), (3.5, "c10"), (3.5, "c10"),
+         (4.0, "c0"), (4.0, "c0"), (4.0, "c0"), (4.5, "c2"), (4.5, "c2")],
+    ])
+    def test_entropy_terms_summed_in_slice_order(self, pairs):
+        # here summing the right-hand terms in the labels' order over the
+        # whole level, not over the right-hand slice, moves a cut
+        assert _find_cuts(pairs) == oracle.find_cuts(pairs)
+
+    def test_planted_scale_column(self):
+        rng = random.Random(11)
+        values = [rng.uniform(0, 600) for _ in range(1500)]
+        labels = ["t" if rng.random() < (0.9 if v > 300 else 0.1) else "f" for v in values]
+        pairs = sorted(zip(values, labels), key=lambda p: p[0])
+        cuts = _find_cuts(pairs)
+        assert cuts and cuts == oracle.find_cuts(pairs)
 
 
 def cluster_fixture():

@@ -19,7 +19,7 @@ from xplan.evaluation import (
     write_csv_summary,
     write_jsonl,
 )
-from xplan.num_core import DistanceConfig
+from xplan.num_core import DistanceConfig, encode
 from xplan.planners import PlannerConfig
 from xplan.predictor import ForestParams
 
@@ -38,8 +38,9 @@ def experiment(tr, te, method, seed):
 
 
 def report(tr, test_rows, changed_rows):
-    dcfg = DistanceConfig.from_dataset(tr)
-    return trust_report(tr, test_rows, changed_rows, nearest_distances(tr, test_rows, dcfg), dcfg)
+    train = encode(tr.rows, DistanceConfig.from_dataset(tr))
+    before = nearest_distances(train, encode(test_rows, train.cfg))
+    return trust_report(train, test_rows, changed_rows, before)
 
 
 class TestRunExperiment:
@@ -132,6 +133,26 @@ class TestRunRepeats:
         assert {m: len(rs) for m, rs in results.items()} == {m: 3 for m in ALL_METHODS}
         assert calls == {"train_forest": 3, "cluster": 3, "rank_features": 3, "build_tree": 1}
 
+    def test_cd_plans_once_per_row_and_rows_encoded_once(self, halves, monkeypatch):
+        tr, te = halves
+        calls = {"plan_cd": 0, "encode": []}
+        plan_cd, encode_rows = evaluation.plan_cd, evaluation.encode
+
+        def counted_plan_cd(*args):
+            calls["plan_cd"] += 1
+            return plan_cd(*args)
+
+        def counted_encode(rows, cfg):
+            calls["encode"].append(rows)
+            return encode_rows(rows, cfg)
+
+        monkeypatch.setattr(evaluation, "plan_cd", counted_plan_cd)
+        monkeypatch.setattr(evaluation, "encode", counted_encode)
+        run_repeats(tr, te, ["cd", "cdfs"], PlannerConfig(), n=2, forest_params=PARAMS)
+        assert calls["plan_cd"] == 2 * len(te.rows)
+        assert sum(rows is tr.rows for rows in calls["encode"]) == 1
+        assert sum(rows is te.rows for rows in calls["encode"]) == 1
+
 
 class TestTrustReport:
     def test_identity_rows_keep_their_distance(self, halves):
@@ -167,7 +188,8 @@ class TestTrustReport:
         for row in changed[::3]:
             row[0] += 7.0
         rep = report(tr, te.rows[:20], changed)
-        measured = nearest_distances(tr, changed, DistanceConfig.from_dataset(tr))
+        dcfg = DistanceConfig.from_dataset(tr)
+        measured = nearest_distances(encode(tr.rows, dcfg), encode(changed, dcfg))
         assert [a for _, a in rep.per_row] == measured.tolist()
 
 

@@ -11,7 +11,7 @@ from xplan.data_model import (
 )
 from xplan.decision_tree import build_tree, locate_leaf
 from xplan.discretize import FeatureRanking
-from xplan.num_core import DistanceConfig
+from xplan.num_core import DistanceConfig, distance, encode
 from xplan.planners import (
     SAMPLE,
     SET,
@@ -22,6 +22,7 @@ from xplan.planners import (
     PlannerConfig,
     apply_plan,
     bic_gradients,
+    cd_targets,
     check_constraints,
     load_feature_model,
     plan_bic,
@@ -55,12 +56,32 @@ def two_cluster_fixture():
     return ds, clusters
 
 
+def centroid_inputs(clusters, z, ds):
+    """Encoded centroids of the clusters and the row's distance to each."""
+    dcfg = DistanceConfig.from_dataset(ds)
+    centroids = encode([c.centroid for c in clusters], dcfg)
+    return centroids, distance(encode([z], dcfg), centroids)[0]
+
+
+def cd(clusters, z, ds):
+    centroids, to_z = centroid_inputs(clusters, z, ds)
+    return plan_cd(clusters, cd_targets(clusters, centroids), to_z, ds)
+
+
+def cdfs(clusters, ranking, z, ds):
+    return plan_cdfs(cd(clusters, z, ds), ranking)
+
+
+def bic(clusters, ranking, z, ds):
+    centroids, to_z = centroid_inputs(clusters, z, ds)
+    return plan_bic(bic_gradients(clusters, centroids), ranking, z, to_z, ds)
+
+
 class TestPlanCd:
     def test_plan_moves_toward_better_centroid(self):
         ds, clusters = two_cluster_fixture()
-        dcfg = DistanceConfig.from_dataset(ds)
         z = [505.0, 41.0, "big", True]
-        plan = plan_cd(clusters, z, dcfg, ds)
+        plan = cd(clusters, z, ds)
         by_name = {d.feature: d for d in plan.deltas}
         assert by_name["loc"].kind == SHIFT
         assert by_name["loc"].value == pytest.approx(109.5 - 509.5)
@@ -70,69 +91,61 @@ class TestPlanCd:
 
     def test_already_best_cluster_empty_plan(self):
         ds, clusters = two_cluster_fixture()
-        dcfg = DistanceConfig.from_dataset(ds)
         z = [105.0, 11.0, "small", False]
-        assert plan_cd(clusters, z, dcfg, ds).empty
+        assert cd(clusters, z, ds).empty
 
     def test_uniform_scores_empty_plan(self):
         ds, clusters = two_cluster_fixture()
         for c in clusters:
             c.score = 0.5
-        dcfg = DistanceConfig.from_dataset(ds)
-        assert plan_cd(clusters, ds.rows[0], dcfg, ds).empty
+        assert cd(clusters, ds.rows[0], ds).empty
 
     def test_equally_near_targets_pick_lower_index(self):
         ds, clusters = two_cluster_fixture()
         # duplicate the good centroid so two targets tie exactly
         twin = ClusterSummary(2, clusters[1].members, list(clusters[1].centroid),
                               clusters[1].best, 0.25)
-        dcfg = DistanceConfig.from_dataset(ds)
-        plan = plan_cd(clusters + [twin], [505.0, 41.0, "big", True], dcfg, ds)
+        plan = cd(clusters + [twin], [505.0, 41.0, "big", True], ds)
         assert plan.provenance["target"] == 1
 
     def test_no_op_deltas_omitted(self):
         ds, clusters = two_cluster_fixture()
         clusters[1].centroid[1] = 40.0  # same wmc as the bad centroid
-        dcfg = DistanceConfig.from_dataset(ds)
-        plan = plan_cd(clusters, [505.0, 41.0, "big", True], dcfg, ds)
+        plan = cd(clusters, [505.0, 41.0, "big", True], ds)
         assert "wmc" not in plan.features()
 
 
 class TestPlanCdfs:
     def test_filters_to_selected_features(self):
         ds, clusters = two_cluster_fixture()
-        dcfg = DistanceConfig.from_dataset(ds)
         ranking = FeatureRanking([("loc", 0.0), ("wmc", 0.5), ("opt", 0.9)], ["loc"])
         z = [505.0, 41.0, "big", True]
-        full = plan_cd(clusters, z, dcfg, ds)
-        filtered = plan_cdfs(clusters, ranking, z, dcfg, ds)
+        full = cd(clusters, z, ds)
+        filtered = cdfs(clusters, ranking, z, ds)
         assert filtered.features() == ["loc"]
         assert len(filtered.deltas) <= len(full.deltas)
 
     def test_full_beta_matches_plan_cd(self):
         ds, clusters = two_cluster_fixture()
-        dcfg = DistanceConfig.from_dataset(ds)
         ranking = FeatureRanking([], ["loc", "wmc", "opt"])
         z = [505.0, 41.0, "big", True]
-        assert plan_cdfs(clusters, ranking, z, dcfg, ds).features() == \
-            plan_cd(clusters, z, dcfg, ds).features()
+        assert cdfs(clusters, ranking, z, ds).features() == \
+            cd(clusters, z, ds).features()
 
     def test_selected_features_equal_means_empty(self):
         ds, clusters = two_cluster_fixture()
         clusters[1].centroid[1] = 40.0
-        dcfg = DistanceConfig.from_dataset(ds)
         ranking = FeatureRanking([], ["wmc"])
-        assert plan_cdfs(clusters, ranking, [505.0, 41.0, "big", True], dcfg, ds).empty
+        assert cdfs(clusters, ranking, [505.0, 41.0, "big", True], ds).empty
 
 
 class TestPlanBic:
     def test_targets_best_in_cluster_of_top_end(self):
         ds, clusters = two_cluster_fixture()
-        dcfg = DistanceConfig.from_dataset(ds)
         ranking = FeatureRanking([], ["loc", "wmc", "opt"])
         z = list(clusters[0].centroid)
         z[2] = "big"
-        plan = plan_bic(bic_gradients(clusters, dcfg), ranking, z, dcfg, ds)
+        plan = bic(clusters, ranking, z, ds)
         best = clusters[1].best
         by_name = {d.feature: d for d in plan.deltas}
         assert by_name["loc"].value == pytest.approx(best[0] - z[0])
@@ -140,18 +153,16 @@ class TestPlanBic:
 
     def test_row_already_at_best_empty(self):
         ds, clusters = two_cluster_fixture()
-        dcfg = DistanceConfig.from_dataset(ds)
         ranking = FeatureRanking([], ["loc", "wmc", "opt"])
-        plan = plan_bic(bic_gradients(clusters, dcfg), ranking, list(clusters[1].best), dcfg, ds)
+        plan = bic(clusters, ranking, list(clusters[1].best), ds)
         assert plan.empty
 
     def test_uniform_scores_empty(self):
         ds, clusters = two_cluster_fixture()
         for c in clusters:
             c.score = 0.4
-        dcfg = DistanceConfig.from_dataset(ds)
         ranking = FeatureRanking([], ["loc"])
-        assert plan_bic(bic_gradients(clusters, dcfg), ranking, ds.rows[0], dcfg, ds).empty
+        assert bic(clusters, ranking, ds.rows[0], ds).empty
 
 
 def xtree_fixture():
