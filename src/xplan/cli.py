@@ -88,6 +88,8 @@ def shared_options(fn):
 
 def _prepare(data, schema, constraints, seed, split_mode, train_versions,
              test_versions, trees, tune, use_smote):
+    if trees < 1:
+        raise DataError(f"--trees must be at least 1, not {trees}")
     feats, class_mode = load_schema(schema)
     ds = load_csv(data, feats, class_mode)
     spec = SplitSpec(

@@ -5,6 +5,12 @@ The forest grows CART trees on bootstrap samples with a random feature
 subset per split. Classification aggregates tree votes by majority;
 regression averages tree means. Nothing here ever reads test rows during
 training or tuning.
+
+Tree t draws its bootstrap sample, then one feature subset per splittable
+node in depth-first preorder, from its own ``default_rng((seed, t))``. The
+trees grow in lockstep, the next node of each per step, with exact splits;
+level-wise growth (another draw order) or histogram splits (as in LightGBM:
+binned thresholds) would change the forest.
 """
 
 from __future__ import annotations
@@ -90,88 +96,162 @@ class _Encoder:
         return out
 
 
-def _best_split(x, y, order, mode, min_leaf):
-    """Best threshold on one sorted column; returns (impurity, thr) or None."""
-    xs = x[order]
-    ys = y[order]
-    n = len(ys)
+_CELL_CAP = 4096  # padded cells per batched search or walk: bounds temporaries
+
+
+def _best_splits(X, y, idx, inside, feats, size, mode, min_leaf):
+    """(found, feature, threshold, target sum) of each node's best split.
+    Line i of ``idx`` holds node i's rows, padded after ``size[i]`` cells.
+    Padding sorts last and adds 0 to the cumsums, so every prefix sum,
+    impurity, tie-break and midpoint equals a search over the node alone."""
+    (n_nodes, k), width = feats.shape, idx.shape[1]
+    vals = np.where(inside[:, None], X[idx[:, None], feats[:, :, None]], np.nan)
+    vals = vals.reshape(n_nodes * k, width)
+    order = np.argsort(vals, axis=1, kind="stable")
+    line = np.arange(n_nodes * k)
+    xs = vals[line[:, None], order]
+    ys = np.where(inside, y[idx], 0.0)[np.arange(n_nodes).repeat(k)[:, None], order]
+    csum = np.cumsum(ys, axis=1)
+    s2 = np.cumsum(ys * ys, axis=1) if mode == REGRESS else None
+    del vals, order, ys  # freed early: these temporaries set the peak memory of a fit
+    n = size.repeat(k)[:, None]
+    pos = np.arange(1, width)  # cut before sorted position pos
+    nl = pos.astype(float)
+    nr = n - nl
+    l1 = csum[:, :-1]
+    r1 = csum[line, n[:, 0] - 1][:, None] - l1
+    with np.errstate(divide="ignore", invalid="ignore"):  # cuts past a node's end
+        if mode == CLASSIFY:
+            pl = l1 / nl
+            pr = r1 / nr
+            gini_l = 1.0 - pl * pl - (1 - pl) * (1 - pl)
+            gini_r = 1.0 - pr * pr - (1 - pr) * (1 - pr)
+            del pl, pr, r1
+            imp = (nl * gini_l + nr * gini_r) / n
+        else:
+            s2l = s2[:, :-1]
+            s2r = s2[line, n[:, 0] - 1][:, None] - s2l
+            imp = (s2l - l1 * l1 / nl) + (s2r - r1 * r1 / nr)  # total SSE
     # candidate boundaries between distinct values, honoring min_leaf
-    diff = xs[1:] != xs[:-1]
-    pos = np.nonzero(diff)[0] + 1
-    pos = pos[(pos >= min_leaf) & (pos <= n - min_leaf)]
-    if len(pos) == 0:
-        return None
-    if mode == CLASSIFY:
-        ones = np.cumsum(ys)
-        nl = pos.astype(float)
-        l1 = ones[pos - 1]
-        r1 = ones[-1] - l1
-        nr = n - nl
-        pl = l1 / nl
-        pr = r1 / nr
-        gini_l = 1.0 - pl * pl - (1 - pl) * (1 - pl)
-        gini_r = 1.0 - pr * pr - (1 - pr) * (1 - pr)
-        imp = (nl * gini_l + nr * gini_r) / n
-    else:
-        s = np.cumsum(ys)
-        s2 = np.cumsum(ys * ys)
-        nl = pos.astype(float)
-        nr = n - nl
-        sl = s[pos - 1]
-        sr = s[-1] - sl
-        s2l = s2[pos - 1]
-        s2r = s2[-1] - s2l
-        imp = (s2l - sl * sl / nl) + (s2r - sr * sr / nr)  # total SSE
-    k = int(np.argmin(imp))
-    p = pos[k]
-    thr = (xs[p - 1] + xs[p]) / 2
-    return float(imp[k]), thr
+    invalid = (xs[:, 1:] == xs[:, :-1]) | (pos < min_leaf) | (pos > n - min_leaf) | (pos >= n)
+    imp[invalid] = np.inf
+    cut = np.argmin(imp, axis=1)
+    j = np.argmin(imp[line, cut].reshape(n_nodes, k), axis=1)
+    best = np.arange(n_nodes) * k + j  # first best feature in drawn order
+    p = cut[best] + 1
+    return (~invalid[best].all(axis=1), feats[np.arange(n_nodes), j],
+            (xs[best, p - 1] + xs[best, p]) / 2, csum[best, size - 1])
 
 
-def _grow(X, y, mode, params, rng, depth=0):
-    """Returns a leaf value (float) or a (feature, threshold, left, right) tuple.
-
-    Classifier leaves hold the majority class as 0.0/1.0."""
-    n = len(y)
-    if mode == CLASSIFY:
-        leaf_value = 1.0 if float(np.mean(y)) >= 0.5 else 0.0
-    else:
-        leaf_value = float(np.mean(y))
-    pure = bool(np.all(y == y[0]))
-    if (
-        pure
-        or n < 2 * params.min_leaf
-        or n < 2
-        or (params.max_depth is not None and depth >= params.max_depth)
-    ):
-        return leaf_value
-    f_total = X.shape[1]
-    m = params.features_per_split or math.ceil(math.sqrt(f_total))
-    feats = rng.choice(f_total, size=min(m, f_total), replace=False)
-    best = None
-    for j in feats:
-        order = np.argsort(X[:, j], kind="stable")
-        found = _best_split(X[:, j], y, order, mode, params.min_leaf)
-        if found is not None and (best is None or found[0] < best[0]):
-            best = (found[0], int(j), found[1])
-    if best is None:
-        return leaf_value
-    _, j, thr = best
-    mask = X[:, j] <= thr
-    left = _grow(X[mask], y[mask], mode, params, rng, depth + 1)
-    right = _grow(X[~mask], y[~mask], mode, params, rng, depth + 1)
-    return (j, thr, left, right)
+def _side_stats(y_rows, side):
+    """Per split, the sum of one side's targets and whether all equal its first."""
+    first = y_rows[np.arange(len(side)), side.argmax(axis=1)][:, None]
+    return np.where(side, y_rows, 0.0).sum(axis=1), ((y_rows == first) | ~side).all(axis=1)
 
 
-def _predict_tree(node, X):
-    if not isinstance(node, tuple):
-        return np.full(len(X), node, dtype=float)
-    j, thr, left, right = node
-    out = np.empty(len(X), dtype=float)
-    mask = X[:, j] <= thr
-    out[mask] = _predict_tree(left, X[mask])
-    out[~mask] = _predict_tree(right, X[~mask])
-    return out
+@dataclass
+class Trees:
+    """All trees of a forest as flat node arrays; tree t's root is node t.
+    A leaf is its own left and right child, so a walk may step past it."""
+
+    feature: np.ndarray    # int32 split column
+    threshold: np.ndarray  # rows with x <= threshold go left
+    left: np.ndarray       # int32 node ids
+    right: np.ndarray
+    value: np.ndarray      # leaf value: majority class 0.0/1.0, or mean
+    depth: int = 0         # most splits on a root-to-leaf path
+    size: int = 0          # nodes in use; the arrays may hold more
+
+    def add(self, count):
+        """Ids of ``count`` new leaves."""
+        ids = np.arange(self.size, self.size + count, dtype=np.int32)
+        self.size += count
+        if self.size > len(self.value):
+            self.resize(self.size * 3 // 2)
+        self.left[ids] = self.right[ids] = ids
+        return ids
+
+    def resize(self, capacity):  # in place: no view of these arrays is kept
+        for a in (self.feature, self.threshold, self.left, self.right, self.value):
+            a.resize(capacity, refcheck=False)
+
+
+def _grow_trees(X, y, mode, params):
+    """Grow all trees on the encoded matrix ``X`` in lockstep (see the module
+    docstring). Tree t's sample is one slice of ``rows``, reordered in place
+    so that each node owns a part of it, in parent order."""
+    n, f_total = X.shape
+    n_trees, min_leaf = params.n_trees, params.min_leaf
+    k = min(params.features_per_split or math.ceil(math.sqrt(f_total)), f_total)
+    min_size = max(2, 2 * min_leaf) if k else n + 1  # no feature, no split
+    # unlimited depth stays below n: a split leaves rows on both sides
+    max_depth = n if params.max_depth is None else params.max_depth
+    rng = np.random.default_rng()  # runs each tree's stream from its stored state
+    rows, states = np.empty(n_trees * n, np.int32), []
+    total, pure = np.zeros(n_trees), np.zeros(n_trees, bool)  # of each root
+    for t in range(n_trees):
+        tree_rng = np.random.default_rng((params.seed, t))
+        sample = rows[t * n:(t + 1) * n]
+        sample[:] = tree_rng.integers(0, n, n) if n_trees > 1 else np.arange(n)
+        states.append(tree_rng.bit_generator.state)
+        total[t], pure[t] = y[sample].sum(), np.all(y[sample] == y[sample[0]])
+    trees = Trees(*(np.zeros(0, dtype) for dtype in (np.int32, float, np.int32, np.int32, float)))
+    stacks = [[] for _ in range(n_trees)]
+
+    def settle(node, tree, start, size, depth, total, pure):
+        """Give the nodes that are leaves their value; stack the others."""
+        leaf = pure | (size < min_size) | (depth >= max_depth)
+        if mode == CLASSIFY:
+            trees.value[node[leaf]] = np.where(total[leaf] / size[leaf] >= 0.5, 1.0, 0.0)
+        else:
+            for i, t, s, m in zip(*(a[leaf].tolist() for a in (node, tree, start, size))):
+                trees.value[i] = float(np.mean(y[rows[t * n + s:t * n + s + m]]))
+        for entry in zip(*(a[~leaf].tolist() for a in (node, tree, start, size, depth))):
+            stacks[entry[1]].append(entry)
+
+    zero = np.zeros(n_trees, int)
+    settle(trees.add(n_trees), np.arange(n_trees), zero, zero + n, zero, total, pure)
+    while batch := [stack.pop() for stack in stacks if stack]:
+        batch.sort(key=lambda entry: -entry[3])  # by size, for chunks of similar sizes
+        node, tree, start, size, depth = map(np.array, zip(*batch))
+        feats = np.empty((len(batch), k), int)
+        for i, t in enumerate(tree.tolist()):
+            rng.bit_generator.state = states[t]
+            feats[i] = rng.choice(f_total, size=k, replace=False)
+            states[t] = rng.bit_generator.state
+        lo = 0
+        while lo < len(batch):  # chunks under the cell cap
+            width = int(size[lo])
+            c = np.arange(lo, min(lo + max(1, _CELL_CAP // (k * width)), len(batch)))
+            lo += len(c)
+            at = np.arange(width)
+            inside = at < size[c, None]
+            cell = np.where(inside, (tree[c] * n + start[c])[:, None] + at, 0)
+            idx = rows[cell]
+            found, feat, thr, sums = _best_splits(X, y, idx, inside, feats[c], size[c], mode, min_leaf)
+            done = c[~found]
+            settle(node[done], tree[done], start[done], size[done], depth[done], sums[~found], True)
+            c, idx, inside, cell, feat, thr = (a[found] for a in (c, idx, inside, cell, feat, thr))
+            go = (X[idx, feat[:, None]] <= thr[:, None]) & inside
+            right = inside & ~go
+            # stable partition of each node's slice: left child first, both in parent order
+            to_left = np.cumsum(go, axis=1)
+            n_left = to_left[:, -1]
+            dest = np.where(go, to_left, n_left[:, None] + np.cumsum(right, axis=1)) - 1
+            rows[(cell[:, :1] + dest)[inside]] = idx[inside]
+            y_rows = y[idx]
+            l_total, l_pure = _side_stats(y_rows, go)
+            r_total, r_pure = _side_stats(y_rows, right)
+            parent = node[c]
+            trees.feature[parent], trees.threshold[parent] = feat, thr
+            trees.left[parent], trees.right[parent] = trees.add(len(c)), trees.add(len(c))
+            trees.depth = max(trees.depth, int(depth[c].max(initial=-1)) + 1)
+            # right before left on each stack, so the left subtree is grown first
+            settle(trees.right[parent], tree[c], start[c] + n_left, size[c] - n_left, depth[c] + 1,
+                   r_total, r_pure)
+            settle(trees.left[parent], tree[c], start[c], n_left, depth[c] + 1, l_total, l_pure)
+    trees.resize(trees.size)
+    return trees
 
 
 @dataclass
@@ -179,16 +259,27 @@ class ForestModel:
     mode: str
     params: ForestParams
     encoder: _Encoder
-    trees: list
+    trees: Trees
 
     def predict(self, rows):
-        X = self.encoder.transform(rows)
-        votes = np.zeros(len(rows))
-        for tree in self.trees:
-            votes += _predict_tree(tree, X)
+        return self._predict(self.encoder.transform(rows))
+
+    def _predict(self, X):
+        """Walk every tree for a block of rows at once, one level per pass."""
+        t, n_trees = self.trees, self.params.n_trees
+        votes = np.zeros(len(X))
+        step = max(1, _CELL_CAP // n_trees)
+        for lo in range(0, len(X), step):
+            at = np.arange(lo, min(lo + step, len(X)))
+            node = np.repeat(np.arange(n_trees, dtype=np.int32)[:, None], len(at), axis=1)
+            for _ in range(t.depth):
+                node = np.where(X[at, t.feature[node]] <= t.threshold[node], t.left[node], t.right[node])
+            block = votes[lo:lo + step]
+            for leaf_values in t.value[node]:  # in tree order, as the regression mean sums
+                block += leaf_values
         if self.mode == CLASSIFY:
-            return [v * 2 > len(self.trees) for v in votes]  # majority of trees
-        return [v / len(self.trees) for v in votes]
+            return [v * 2 > n_trees for v in votes]  # majority of trees
+        return [v / n_trees for v in votes]
 
     def summary(self):
         return {
@@ -201,10 +292,8 @@ class ForestModel:
         }
 
 
-def train_forest(train, params=None, mode=None):
-    params = params or ForestParams()
-    if mode is None:
-        mode = CLASSIFY if train.objective == MINIMIZE_RATE else REGRESS
+def _targets(train, mode):
+    """The dependent values as floats, checked against the forest's mode."""
     if not train.rows:
         raise ValueError("empty training data")
     dep = train.dep_values()
@@ -212,20 +301,21 @@ def train_forest(train, params=None, mode=None):
         raise ValueError("classification needs a boolean dependent")
     if mode == REGRESS and any(isinstance(v, bool) for v in dep):
         raise ValueError("regression needs a numeric dependent")
+    return np.array([float(v) for v in dep])
+
+
+def train_forest(train, params=None, mode=None):
+    params = params or ForestParams()
+    if mode is None:
+        mode = CLASSIFY if train.objective == MINIMIZE_RATE else REGRESS
+    y = _targets(train, mode)
     encoder = _Encoder(train)
-    X = encoder.transform(train.rows)
-    y = np.array([float(v) for v in dep])
-    trees = []
-    for t in range(params.n_trees):
-        rng = np.random.default_rng((params.seed, t))
-        boot = rng.integers(0, len(y), len(y)) if params.n_trees > 1 else np.arange(len(y))
-        trees.append(_grow(X[boot], y[boot], mode, params, rng))
-    return ForestModel(mode, params, encoder, trees)
+    return ForestModel(mode, params, encoder, _grow_trees(encoder.transform(train.rows), y, mode, params))
 
 
-def score_classifier(model, test):
+def score_classifier(model, test, predicted=None):
     actual = test.dep_values()
-    predicted = model.predict(test.rows)
+    predicted = model.predict(test.rows) if predicted is None else predicted
     tp = sum(1 for a, p in zip(actual, predicted) if a and p)
     fn = sum(1 for a, p in zip(actual, predicted) if a and not p)
     fp = sum(1 for a, p in zip(actual, predicted) if not a and p)
@@ -235,9 +325,9 @@ def score_classifier(model, test):
     return ClassifierScore(pd, pf, predicted)
 
 
-def score_regressor(model, test):
+def score_regressor(model, test, predicted=None):
     actual = test.dep_values()
-    predicted = model.predict(test.rows)
+    predicted = model.predict(test.rows) if predicted is None else predicted
     items = []
     for a, p in zip(actual, predicted):
         if a == 0:
@@ -359,15 +449,19 @@ def tune_de(train, budget=200, rng=None, mode=None, seed=1):
     f_total = len(fit.independent)
     bounds = [(10, 150), (1, 30), (1, 20), (1, f_total)]
     default = ForestParams(seed=seed)
+    y_fit = _targets(fit, mode)
+    encoder = _Encoder(fit)
+    X_fit, X_val = encoder.transform(fit.rows), encoder.transform(val.rows)
 
     def fitness(vec):
         params = replace(_params_from_vector(vec, f_total), seed=seed)
-        model = train_forest(fit, params, mode)
+        model = ForestModel(mode, params, encoder, _grow_trees(X_fit, y_fit, mode, params))
+        predicted = model._predict(X_val)
         if mode == CLASSIFY:
-            sc = score_classifier(model, val)
+            sc = score_classifier(model, val, predicted)
             quality = (0 if math.isnan(sc.pd) else sc.pd) - (100 if math.isnan(sc.pf) else sc.pf)
         else:
-            quality = score_regressor(model, val).s
+            quality = score_regressor(model, val, predicted).s
         return -quality  # DE minimizes
 
     init = [[default.n_trees, 30, default.min_leaf, math.ceil(math.sqrt(f_total))]]

@@ -1,13 +1,17 @@
 """Reference implementations that the fast paths in ``xplan`` must match
-exactly: the scalar row distance that the encoded kernel replaced, and
-the quadratic MDL cut search that the one-scan search replaced."""
+exactly: the scalar row distance that the encoded kernel replaced, the
+quadratic MDL cut search that the one-scan search replaced, and the
+recursive CART grower and predictor that the lockstep forest replaced."""
 
 import math
 from collections import Counter
 
+import numpy as np
+
 from xplan.data_model import NUMERIC, normalize_bounds
 from xplan.discretize import _mdl_accepts
 from xplan.num_core import entropy
+from xplan.predictor import CLASSIFY
 
 
 def _norm(cfg, name, value):
@@ -63,3 +67,106 @@ def find_cuts(pairs):
         return []
     cut = (pairs[i - 1][0] + pairs[i][0]) / 2
     return find_cuts(pairs[:i]) + [cut] + find_cuts(pairs[i:])
+
+
+def best_split(x, y, order, mode, min_leaf):
+    """Best threshold on one sorted column; returns (impurity, thr) or None."""
+    xs = x[order]
+    ys = y[order]
+    n = len(ys)
+    # candidate boundaries between distinct values, honoring min_leaf
+    diff = xs[1:] != xs[:-1]
+    pos = np.nonzero(diff)[0] + 1
+    pos = pos[(pos >= min_leaf) & (pos <= n - min_leaf)]
+    if len(pos) == 0:
+        return None
+    if mode == CLASSIFY:
+        ones = np.cumsum(ys)
+        nl = pos.astype(float)
+        l1 = ones[pos - 1]
+        r1 = ones[-1] - l1
+        nr = n - nl
+        pl = l1 / nl
+        pr = r1 / nr
+        gini_l = 1.0 - pl * pl - (1 - pl) * (1 - pl)
+        gini_r = 1.0 - pr * pr - (1 - pr) * (1 - pr)
+        imp = (nl * gini_l + nr * gini_r) / n
+    else:
+        s = np.cumsum(ys)
+        s2 = np.cumsum(ys * ys)
+        nl = pos.astype(float)
+        nr = n - nl
+        sl = s[pos - 1]
+        sr = s[-1] - sl
+        s2l = s2[pos - 1]
+        s2r = s2[-1] - s2l
+        imp = (s2l - sl * sl / nl) + (s2r - sr * sr / nr)  # total SSE
+    k = int(np.argmin(imp))
+    p = pos[k]
+    thr = (xs[p - 1] + xs[p]) / 2
+    return float(imp[k]), thr
+
+
+def grow(X, y, mode, params, rng, depth=0):
+    """Returns a leaf value (float) or a (feature, threshold, left, right) tuple.
+
+    Classifier leaves hold the majority class as 0.0/1.0."""
+    n = len(y)
+    if mode == CLASSIFY:
+        leaf_value = 1.0 if float(np.mean(y)) >= 0.5 else 0.0
+    else:
+        leaf_value = float(np.mean(y))
+    pure = bool(np.all(y == y[0]))
+    if (
+        pure
+        or n < 2 * params.min_leaf
+        or n < 2
+        or (params.max_depth is not None and depth >= params.max_depth)
+    ):
+        return leaf_value
+    f_total = X.shape[1]
+    m = params.features_per_split or math.ceil(math.sqrt(f_total))
+    feats = rng.choice(f_total, size=min(m, f_total), replace=False)
+    best = None
+    for j in feats:
+        order = np.argsort(X[:, j], kind="stable")
+        found = best_split(X[:, j], y, order, mode, params.min_leaf)
+        if found is not None and (best is None or found[0] < best[0]):
+            best = (found[0], int(j), found[1])
+    if best is None:
+        return leaf_value
+    _, j, thr = best
+    mask = X[:, j] <= thr
+    left = grow(X[mask], y[mask], mode, params, rng, depth + 1)
+    right = grow(X[~mask], y[~mask], mode, params, rng, depth + 1)
+    return (j, thr, left, right)
+
+
+def grow_forest(X, y, mode, params):
+    """Each tree on its bootstrap sample, grown recursively."""
+    trees = []
+    for t in range(params.n_trees):
+        rng = np.random.default_rng((params.seed, t))
+        boot = rng.integers(0, len(y), len(y)) if params.n_trees > 1 else np.arange(len(y))
+        trees.append(grow(X[boot], y[boot], mode, params, rng))
+    return trees
+
+
+def predict_tree(node, X):
+    if not isinstance(node, tuple):
+        return np.full(len(X), node, dtype=float)
+    j, thr, left, right = node
+    out = np.empty(len(X), dtype=float)
+    mask = X[:, j] <= thr
+    out[mask] = predict_tree(left, X[mask])
+    out[~mask] = predict_tree(right, X[~mask])
+    return out
+
+
+def predict(trees, X, mode):
+    votes = np.zeros(len(X))
+    for tree in trees:
+        votes += predict_tree(tree, X)
+    if mode == CLASSIFY:
+        return [v * 2 > len(trees) for v in votes]  # majority of trees
+    return [v / len(trees) for v in votes]

@@ -101,6 +101,13 @@ class TestPlan:
         assert len(stderr_of(res).strip().splitlines()) == 1
         assert "--rows" in stderr_of(res)
 
+    @pytest.mark.parametrize("trees", ["0", "-3"])
+    def test_bad_trees_is_usage_error(self, workdir, trees):
+        res = runner.invoke(main, ["plan"] + base_args(workdir, "--trees", trees))
+        assert res.exit_code == 1
+        assert res.exception is None or isinstance(res.exception, SystemExit)
+        assert stderr_of(res).strip().splitlines() == [f"--trees must be at least 1, not {trees}"]
+
 
 class TestEval:
     def test_text_report_and_artifacts(self, workdir, tmp_path):
@@ -133,6 +140,15 @@ class TestEval:
         assert out1.output == out2.output
         assert (tmp_path / "a/results.jsonl").read_bytes() == \
                (tmp_path / "b/results.jsonl").read_bytes()
+
+    @pytest.mark.parametrize("trees", ["0", "-3"])
+    def test_bad_trees_is_usage_error(self, workdir, tmp_path, trees):
+        res = runner.invoke(main, ["eval"] + base_args(
+            workdir, "--trees", trees, "--out", str(tmp_path / "r")))
+        assert res.exit_code == 1
+        assert res.exception is None or isinstance(res.exception, SystemExit)
+        assert stderr_of(res).strip().splitlines() == [f"--trees must be at least 1, not {trees}"]
+        assert not (tmp_path / "r").exists()
 
     def test_unknown_method_exits_1(self, workdir, tmp_path):
         res = runner.invoke(main, ["eval"] + base_args(

@@ -3,7 +3,9 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from xplan import predictor
 from xplan.data_model import (
     MINIMIZE_RATE,
     MINIMIZE_VALUE,
@@ -26,6 +28,7 @@ from xplan.predictor import (
     train_forest,
     tune_de,
 )
+from tests import oracle
 
 
 def separable_ds(n=60):
@@ -105,6 +108,94 @@ class TestForest:
         model = train_forest(ds, ForestParams(n_trees=3, seed=2), CLASSIFY)
         s = model.summary()
         assert s["mode"] == CLASSIFY and s["n_trees"] == 3 and s["seed"] == 2
+
+
+def nested(trees, node):
+    """One tree of the flat arrays in the oracle's form: a leaf value or
+    (feature, threshold, left, right)."""
+    if trees.left[node] == node:
+        return float(trees.value[node])
+    return (int(trees.feature[node]), trees.threshold[node],
+            nested(trees, trees.left[node]), nested(trees, trees.right[node]))
+
+
+def assert_matches_oracle(X, y, mode, params, queries):
+    trees = predictor._grow_trees(X, y, mode, params)
+    ref = oracle.grow_forest(X, y, mode, params)
+    assert [nested(trees, t) for t in range(params.n_trees)] == ref
+    model = predictor.ForestModel(mode, params, None, trees)
+    for Q in (X, queries):
+        assert model._predict(Q) == oracle.predict(ref, Q, mode)
+
+
+@st.composite
+def forest_cases(draw):
+    """Small matrices with continuous, tied, constant and discrete-coded
+    columns, both modes and the edge parameters of the grower."""
+    n = draw(st.integers(1, 40))
+    f_total = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cols = []
+    for _ in range(f_total):
+        kind = draw(st.sampled_from(["continuous", "tied", "constant", "codes"]))
+        if kind == "continuous":
+            cols.append(rng.normal(size=n))
+        elif kind == "tied":
+            cols.append(rng.normal(size=n).round(0))
+        elif kind == "constant":
+            cols.append(np.full(n, 2.5))
+        else:
+            cols.append(rng.integers(0, 3, n).astype(float))
+    X = np.column_stack(cols)
+    mode = draw(st.sampled_from([CLASSIFY, REGRESS]))
+    if mode == CLASSIFY:
+        y = (rng.random(n) < draw(st.sampled_from([0.0, 0.3, 0.5, 1.0]))).astype(float)
+    else:
+        y = rng.normal(size=n).round(draw(st.integers(0, 3))) * 10
+    params = ForestParams(
+        n_trees=draw(st.integers(1, 4)),
+        max_depth=draw(st.one_of(st.none(), st.integers(0, 5))),
+        min_leaf=draw(st.integers(1, 4)),
+        features_per_split=draw(st.sampled_from([None, 1, f_total, f_total + 2])),
+        seed=draw(st.integers(0, 99)),
+    )
+    return X, y, mode, params, rng.normal(size=(7, f_total)).round(0)
+
+
+class TestLockstepForest:
+    """The lockstep grower and flat-array predict against the recursive
+    oracle: equal trees node for node and equal predictions."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(forest_cases())
+    def test_matches_recursive_oracle(self, case):
+        assert_matches_oracle(*case)
+
+    def test_mixed_sizes_in_one_batched_search(self, monkeypatch):
+        # Regression sums are order-sensitive; one batched search here holds
+        # nodes of very different sizes, so the padding must leave every
+        # node's prefix sums as they are.
+        rng = np.random.default_rng(11)
+        X = np.column_stack([rng.normal(size=300), rng.integers(0, 4, 300), rng.normal(size=300).round(1)])
+        y = np.exp(rng.normal(size=300) * 3)
+        spreads = []
+        search = predictor._best_splits
+
+        def spy(X, y, idx, inside, feats, size, *rest):
+            spreads.append(size.max() / size.min())
+            return search(X, y, idx, inside, feats, size, *rest)
+
+        monkeypatch.setattr(predictor, "_best_splits", spy)
+        assert_matches_oracle(X, y, REGRESS, ForestParams(n_trees=6, seed=4), rng.normal(size=(50, 3)))
+        assert max(spreads) >= 50
+
+    def test_planted_scale_forest(self, planted):
+        train, test = split(planted, SplitSpec(seed=3))
+        model = train_forest(train, ForestParams(n_trees=20, seed=3))
+        X, y = model.encoder.transform(train.rows), np.array([float(v) for v in train.dep_values()])
+        ref = oracle.grow_forest(X, y, CLASSIFY, model.params)
+        assert [nested(model.trees, t) for t in range(20)] == ref
+        assert model.predict(test.rows) == oracle.predict(ref, model.encoder.transform(test.rows), CLASSIFY)
 
 
 class TestScores:
@@ -247,6 +338,14 @@ class TestTuneDe:
 
         default = ForestParams(max_depth=30, features_per_split=2, seed=3)
         assert fitness(params) >= fitness(default) - 1e-9
+
+    def test_tuned_params_pinned(self):
+        # the results of the recursive forest, before the encoded matrices
+        # were reused across fitness calls
+        assert tune_de(separable_ds(n=80), budget=40, seed=3) == ForestParams(
+            n_trees=100, max_depth=30, min_leaf=1, features_per_split=2, seed=3)
+        assert tune_de(runtime_ds(n=80), budget=40, seed=3) == ForestParams(
+            n_trees=108, max_depth=7, min_leaf=1, features_per_split=2, seed=3)
 
     def test_budget_below_population_rejected(self):
         with pytest.raises(ValueError):
