@@ -210,9 +210,13 @@ def cmd_eval(methods, repeats, out, fmt, data, schema, constraints, alpha, beta,
     except GateError as exc:
         _gate_failed(exc.score)
     outdir = Path(out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    write_jsonl(results, outdir / "results.jsonl")
-    write_csv_summary(results, outdir / "results.csv")
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+        write_jsonl(results, outdir / "results.jsonl")
+        write_csv_summary(results, outdir / "results.csv")
+    except OSError as exc:
+        click.echo(f"--out {out}: cannot write results: {exc.strerror or exc}", err=True)
+        sys.exit(EXIT_DATA)
     ranked = _rank(results, seed)
     if fmt == "json":
         click.echo(json.dumps(ranked.to_json(), sort_keys=True))

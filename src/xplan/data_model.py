@@ -134,16 +134,19 @@ def load_schema(path):
     "features": [{"name":..., "kind":..., "role":..., "weight":...}, ...]}``
     """
     with open(path) as fh:
-        raw = json.load(fh)
-    feats = [
-        FeatureSpec(
-            name=f["name"],
-            kind=f.get("kind", NUMERIC),
-            role=f.get("role", INDEPENDENT),
-            weight=float(f.get("weight", 1.0)),
-        )
-        for f in raw["features"]
-    ]
+        try:
+            raw = json.load(fh)
+        except ValueError as exc:
+            raise DataError(f"{path}: not JSON: {exc}")
+    if not isinstance(raw, dict) or not isinstance(raw.get("features"), list):
+        raise DataError(f"{path}: a schema is a JSON object with a 'features' list")
+    try:
+        feats = [FeatureSpec(f["name"], f.get("kind", NUMERIC), f.get("role", INDEPENDENT),
+                             float(f.get("weight", 1.0))) for f in raw["features"]]
+    except KeyError as exc:
+        raise DataError(f"{path}: a feature has no {exc.args[0]!r}")
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"{path}: bad feature entry: {exc}")
     return feats, raw.get("class_mode", "boolean-from-count")
 
 
@@ -192,24 +195,6 @@ def load_csv(path, schema, class_mode="boolean-from-count"):
     return Dataset(features, rows, objective)
 
 
-def _format_cell(cell):
-    if cell is None:
-        return MISSING
-    if isinstance(cell, bool):
-        return "1" if cell else "0"
-    if isinstance(cell, float):
-        return repr(cell)
-    return str(cell)
-
-
-def save_csv(ds, path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f.name for f in ds.features])
-        for r in ds.rows:
-            writer.writerow([_format_cell(c) for c in r])
-
-
 def split(ds, spec):
     """Partition into disjoint train/test datasets; bounds are recomputed.
     An empty side is a DataError."""
@@ -236,14 +221,3 @@ def split(ds, spec):
             raise DataError(f"the {name} split is empty")
     return ds.replace_rows(train_rows), ds.replace_rows(test_rows)
 
-
-def normalize_bounds(value, lo, hi):
-    """Map a numeric value into [0,1] by the bounds (lo, hi), clamped.
-
-    Degenerate bounds (constant column) normalize to 0 so the column
-    contributes nothing to any distance.
-    """
-    if hi <= lo:
-        return 0.0
-    x = (value - lo) / (hi - lo)
-    return min(1.0, max(0.0, x))

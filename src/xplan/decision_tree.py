@@ -200,19 +200,3 @@ def siblings_at_level(tree, leaf, lvl):
         node = node.parent
     return [l for l in node.leaves() if l is not leaf]
 
-
-def dump(tree, ds, indent=0):
-    """Indented text rendering for debugging."""
-    lines = []
-    pad = "|  " * indent
-    if tree.is_leaf:
-        lines.append(f"{pad}leaf n={len(tree.members)} score={tree.score:.3f}")
-    else:
-        lines.append(
-            f"{pad}split {tree.split_feature} n={len(tree.members)} score={tree.score:.3f}"
-        )
-        for cond, child in tree.branches:
-            label = str(cond) if isinstance(cond, Bin) else f"{tree.split_feature} = {cond}"
-            lines.append(f"{pad}|- {label}")
-            lines.append(dump(child, ds, indent + 1))
-    return "\n".join(lines)

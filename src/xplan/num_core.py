@@ -1,11 +1,14 @@
-"""Shared numeric primitives: column variability and row distance.
+"""Shared numeric primitives: column variability, the row encoding and
+row distance.
 
 Variability is population standard deviation for numeric columns and
-base-2 entropy for discrete ones. Distance is a weighted Euclidean over
-the independent features, with numerics normalized to [0,1] by the
-training bounds, discrete mismatch counting 1, and missing values
-resolved pessimistically (a fully-missing pair contributes 1), over
-rows encoded once into numpy columns.
+base-2 entropy for discrete ones. ``encode`` is the one row encoding,
+which the forest also splits: a float column per independent feature
+with raw numeric values, symbol codes and NaN for missing cells.
+Distance is a weighted Euclidean over these columns, with numerics
+normalized to [0,1] by the training bounds, discrete mismatch counting
+1, and missing values resolved pessimistically (a fully-missing pair
+contributes 1).
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from xplan.data_model import DISCRETE, INDEPENDENT, NUMERIC, normalize_bounds
+from xplan.data_model import DISCRETE, INDEPENDENT, NUMERIC
 
 
 def entropy(counts):
@@ -55,57 +58,62 @@ class DistanceConfig:
     weights: list
     bounds: dict         # per numeric feature: (min, max) from training
     arity: int           # cells per row, dependent and meta columns included
-    codes: dict = field(default_factory=dict, repr=False)  # per discrete: symbol -> code
+    codes: dict = field(repr=False)  # per discrete: symbol -> code
 
     @classmethod
     def from_dataset(cls, ds):
+        """The config of ds's schema. The training symbols of each discrete
+        take the codes 0, 1, ... in sorted order; symbols first seen by a
+        later ``encode`` take the next codes."""
         feats = [(i, f) for i, f in enumerate(ds.features) if f.role == INDEPENDENT]
+        codes = {f.name: {s: j for j, s in enumerate(sorted({r[i] for r in ds.rows} - {None}))}
+                 for i, f in feats if f.kind == DISCRETE}
         return cls([f.name for _, f in feats], [i for i, _ in feats], [f.kind for _, f in feats],
-                   [f.weight for _, f in feats], dict(ds.bounds), len(ds.features))
+                   [f.weight for _, f in feats], dict(ds.bounds), len(ds.features), codes)
 
 
 @dataclass
 class Encoded:
-    """Rows as one numpy column per independent feature: normalized floats
-    (NaN = missing) for numerics, symbol codes (-1 = missing) for
-    discretes. Tables encoded with the same config share the codes."""
+    """Rows as a (features, rows) float array of raw values and symbol
+    codes (NaN = missing). Tables encoded with one config share the codes."""
 
     cfg: DistanceConfig
-    cols: list
-    n: int
+    cols: np.ndarray
 
     def __len__(self):
-        return self.n
+        return self.cols.shape[1]
 
     def take(self, idx):
         """The rows at the given positions, as a new table."""
-        return Encoded(self.cfg, [c[idx] for c in self.cols], len(idx))
+        return Encoded(self.cfg, self.cols[:, idx])
 
 
 def encode(rows, cfg):
-    """Encode rows of cfg's schema for ``distance``."""
+    """Encode rows of cfg's schema (see the module docstring)."""
     if any(len(r) != cfg.arity for r in rows):
         raise ValueError("rows from different schemas")
-    cols = []
-    for name, i, kind in zip(cfg.names, cfg.indices, cfg.kinds):
+    cols = np.empty((len(cfg.indices), len(rows)))
+    for col, name, i, kind in zip(cols, cfg.names, cfg.indices, cfg.kinds):
         if kind == NUMERIC:
-            lo, hi = cfg.bounds.get(name, (0.0, 0.0))
-            cells = [math.nan if r[i] is None else normalize_bounds(r[i], lo, hi) for r in rows]
-            cols.append(np.array(cells, dtype=float))
+            col[:] = [math.nan if r[i] is None else r[i] for r in rows]
         else:
-            codes = cfg.codes.setdefault(name, {})
-            cells = [-1 if r[i] is None else codes.setdefault(r[i], len(codes)) for r in rows]
-            cols.append(np.array(cells, dtype=np.int64))
-    return Encoded(cfg, cols, len(rows))
+            codes = cfg.codes[name]
+            col[:] = [math.nan if r[i] is None else codes.setdefault(r[i], len(codes)) for r in rows]
+    return Encoded(cfg, cols)
 
 
 def distance(a, b):
     """All pairwise distances between two encoded tables, as a
     (len(a), len(b)) array. Each cell is summed feature by feature in
     schema order, exactly as a scalar loop over one pair would sum it."""
+    cfg = a.cfg
     total = np.zeros((len(a), len(b)))
-    for kind, w, ca, cb in zip(a.cfg.kinds, a.cfg.weights, a.cols, b.cols):
+    for name, kind, w, ca, cb in zip(cfg.names, cfg.kinds, cfg.weights, a.cols, b.cols):
         if kind == NUMERIC:
+            # into [0,1] by the training bounds, clamped; a constant column is 0
+            lo, hi = cfg.bounds.get(name, (0.0, 0.0))
+            ca, cb = (np.clip((c - lo) / (hi - lo), 0.0, 1.0) if hi > lo
+                      else np.where(np.isnan(c), c, 0.0) for c in (ca, cb))
             d = ca[:, None] - cb[None, :]
             np.abs(d, out=d)
             miss_a, miss_b = np.isnan(ca), np.isnan(cb)
@@ -116,9 +124,8 @@ def distance(a, b):
                 d = np.where(miss_a[:, None], np.maximum(cb, 1.0 - cb)[None, :], d)
                 d[miss_a[:, None] & miss_b[None, :]] = 1.0
         else:
-            # a missing symbol differs in the worst case
-            d = (ca[:, None] != cb[None, :]) | (ca < 0)[:, None] | (cb < 0)[None, :]
-            d = d.astype(float)
+            # a missing symbol differs in the worst case: NaN != every code and NaN
+            d = (ca[:, None] != cb[None, :]).astype(float)
         term = w * d
         term *= d
         total += term

@@ -4,7 +4,9 @@ evolution for hyperparameter tuning, and the predictor quality gate.
 The forest grows CART trees on bootstrap samples with a random feature
 subset per split. Classification aggregates tree votes by majority;
 regression averages tree means. Nothing here ever reads test rows during
-training or tuning.
+training or tuning. The trees split the columns of ``num_core.encode``:
+raw numeric values and sorted symbol codes, with each gap filled by its
+column's training median.
 
 Tree t draws its bootstrap sample, then one feature subset per splittable
 node in depth-first preorder, from its own ``default_rng((seed, t))``. The
@@ -27,6 +29,7 @@ from xplan.data_model import (
     INDEPENDENT,
     MINIMIZE_RATE,
     NUMERIC,
+    DataError,
     SplitSpec,
     split,
 )
@@ -61,39 +64,6 @@ class RegressorScore:
     s: float              # mean of 1 - |a - p| / a
     per_item: list = None
     predicted: list = field(default=None, repr=False)  # the scored predictions
-
-
-class _Encoder:
-    """Raw rows -> float matrix: discretes coded, missings median-imputed."""
-
-    def __init__(self, ds):
-        self.indices = [i for i, f in enumerate(ds.features) if f.role == INDEPENDENT]
-        self.kinds = [ds.features[i].kind for i in self.indices]
-        self.codes = []
-        self.fill = []
-        for i, kind in zip(self.indices, self.kinds):
-            col = [r[i] for r in ds.rows]
-            if kind == DISCRETE:
-                mapping = {v: float(j) for j, v in enumerate(sorted(set(c for c in col if c is not None)))}
-                self.codes.append(mapping)
-                vals = [mapping[c] for c in col if c is not None]
-            else:
-                self.codes.append(None)
-                vals = [c for c in col if c is not None]
-            self.fill.append(float(np.median(vals)) if vals else 0.0)
-
-    def transform(self, rows):
-        out = np.empty((len(rows), len(self.indices)))
-        for j, (i, mapping, fill) in enumerate(zip(self.indices, self.codes, self.fill)):
-            for k, r in enumerate(rows):
-                v = r[i]
-                if v is None:
-                    out[k, j] = fill
-                elif mapping is not None:
-                    out[k, j] = mapping.get(v, fill)
-                else:
-                    out[k, j] = v
-        return out
 
 
 _CELL_CAP = 4096  # padded cells per batched search or walk: bounds temporaries
@@ -256,13 +226,23 @@ def _grow_trees(X, y, mode, params):
 
 @dataclass
 class ForestModel:
+    """Trees over the training rows' encoding, where a missing cell or an
+    unseen symbol reads as its column's fill (see ``_unfitted``)."""
+
     mode: str
     params: ForestParams
-    encoder: _Encoder
+    cfg: DistanceConfig  # the training rows' config
+    fill: np.ndarray     # per column
+    unseen: np.ndarray   # per column: the training symbols' count (NaN: numeric)
     trees: Trees
 
+    def matrix(self, rows):
+        """Rows as the (rows x features) matrix the trees split."""
+        X = encode(rows, self.cfg).cols.T
+        return np.where(np.isnan(X) | (X >= self.unseen), self.fill, X)
+
     def predict(self, rows):
-        return self._predict(self.encoder.transform(rows))
+        return self._predict(self.matrix(rows))
 
     def _predict(self, X):
         """Walk every tree for a block of rows at once, one level per pass."""
@@ -281,16 +261,6 @@ class ForestModel:
             return [v * 2 > n_trees for v in votes]  # majority of trees
         return [v / n_trees for v in votes]
 
-    def summary(self):
-        return {
-            "mode": self.mode,
-            "n_trees": self.params.n_trees,
-            "max_depth": self.params.max_depth,
-            "min_leaf": self.params.min_leaf,
-            "features_per_split": self.params.features_per_split,
-            "seed": self.params.seed,
-        }
-
 
 def _targets(train, mode):
     """The dependent values as floats, checked against the forest's mode."""
@@ -304,13 +274,26 @@ def _targets(train, mode):
     return np.array([float(v) for v in dep])
 
 
+def _unfitted(train, mode, params):
+    """A forest model without trees for ``train``, and train's matrix. A
+    column's fill is the median of its present cells, or 0.0 if none is."""
+    cfg = DistanceConfig.from_dataset(train)
+    X = encode(train.rows, cfg).cols.T
+    present = ~np.isnan(X)
+    fill = np.array([float(np.median(c[p])) if p.any() else 0.0 for c, p in zip(X.T, present.T)])
+    unseen = np.array([len(cfg.codes[name]) if kind == DISCRETE else math.nan
+                       for name, kind in zip(cfg.names, cfg.kinds)])
+    return ForestModel(mode, params, cfg, fill, unseen, None), np.where(present, X, fill)
+
+
 def train_forest(train, params=None, mode=None):
     params = params or ForestParams()
     if mode is None:
         mode = CLASSIFY if train.objective == MINIMIZE_RATE else REGRESS
     y = _targets(train, mode)
-    encoder = _Encoder(train)
-    return ForestModel(mode, params, encoder, _grow_trees(encoder.transform(train.rows), y, mode, params))
+    model, X = _unfitted(train, mode, params)
+    model.trees = _grow_trees(X, y, mode, params)
+    return model
 
 
 def score_classifier(model, test, predicted=None):
@@ -353,7 +336,7 @@ def smote(train, k=5, target=1.0, rng=None):
     k nearest minority neighbors, until minority/majority reaches target."""
     rng = rng or random.Random(1)
     if train.objective != MINIMIZE_RATE:
-        raise ValueError("SMOTE needs a boolean dependent")
+        raise DataError("SMOTE needs a boolean dependent (class mode boolean-from-count)")
     dep = train.dep_values()
     pos = [i for i, v in enumerate(dep) if v]
     neg = [i for i, v in enumerate(dep) if not v]
@@ -450,12 +433,12 @@ def tune_de(train, budget=200, rng=None, mode=None, seed=1):
     bounds = [(10, 150), (1, 30), (1, 20), (1, f_total)]
     default = ForestParams(seed=seed)
     y_fit = _targets(fit, mode)
-    encoder = _Encoder(fit)
-    X_fit, X_val = encoder.transform(fit.rows), encoder.transform(val.rows)
+    unfitted, X_fit = _unfitted(fit, mode, default)
+    X_val = unfitted.matrix(val.rows)
 
     def fitness(vec):
         params = replace(_params_from_vector(vec, f_total), seed=seed)
-        model = ForestModel(mode, params, encoder, _grow_trees(X_fit, y_fit, mode, params))
+        model = replace(unfitted, params=params, trees=_grow_trees(X_fit, y_fit, mode, params))
         predicted = model._predict(X_val)
         if mode == CLASSIFY:
             sc = score_classifier(model, val, predicted)

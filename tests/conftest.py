@@ -1,5 +1,6 @@
 """Shared fixtures: small synthetic datasets with known structure."""
 
+import csv
 import random
 
 import pytest
@@ -7,9 +8,29 @@ import pytest
 from xplan.data_model import (
     MINIMIZE_RATE,
     MINIMIZE_VALUE,
+    MISSING,
     Dataset,
     FeatureSpec,
 )
+
+
+def _format_cell(cell):
+    if cell is None:
+        return MISSING
+    if isinstance(cell, bool):
+        return "1" if cell else "0"
+    if isinstance(cell, float):
+        return repr(cell)
+    return str(cell)
+
+
+def save_csv(ds, path):
+    """Write ds in the CSV form ``load_csv`` reads back bit for bit."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([f.name for f in ds.features])
+        for r in ds.rows:
+            writer.writerow([_format_cell(c) for c in r])
 
 
 def planted_defect_data(n_train=600, n_test=200, seed=0):

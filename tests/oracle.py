@@ -1,17 +1,30 @@
 """Reference implementations that the fast paths in ``xplan`` must match
 exactly: the scalar row distance that the encoded kernel replaced, the
-quadratic MDL cut search that the one-scan search replaced, and the
-recursive CART grower and predictor that the lockstep forest replaced."""
+forest's own row encoder that ``num_core.encode`` replaced, the quadratic
+MDL cut search that the one-scan search replaced, and the recursive CART
+grower and predictor that the lockstep forest replaced."""
 
 import math
 from collections import Counter
 
 import numpy as np
 
-from xplan.data_model import NUMERIC, normalize_bounds
+from xplan.data_model import DISCRETE, INDEPENDENT, NUMERIC
 from xplan.discretize import _mdl_accepts
 from xplan.num_core import entropy
 from xplan.predictor import CLASSIFY
+
+
+def normalize_bounds(value, lo, hi):
+    """Map a numeric value into [0,1] by the bounds (lo, hi), clamped.
+
+    Degenerate bounds (constant column) normalize to 0 so the column
+    contributes nothing to any distance.
+    """
+    if hi <= lo:
+        return 0.0
+    x = (value - lo) / (hi - lo)
+    return min(1.0, max(0.0, x))
 
 
 def _norm(cfg, name, value):
@@ -41,6 +54,40 @@ def distance(x, y, cfg):
         d = _feature_delta(x[i], y[i], kind, cfg, name)
         total += w * d * d
     return math.sqrt(total)
+
+
+class Encoder:
+    """Raw rows -> the forest's float matrix: discretes coded in sorted
+    symbol order, missing cells and unseen symbols median-imputed."""
+
+    def __init__(self, ds):
+        self.indices = [i for i, f in enumerate(ds.features) if f.role == INDEPENDENT]
+        self.kinds = [ds.features[i].kind for i in self.indices]
+        self.codes = []
+        self.fill = []
+        for i, kind in zip(self.indices, self.kinds):
+            col = [r[i] for r in ds.rows]
+            if kind == DISCRETE:
+                mapping = {v: float(j) for j, v in enumerate(sorted(set(c for c in col if c is not None)))}
+                self.codes.append(mapping)
+                vals = [mapping[c] for c in col if c is not None]
+            else:
+                self.codes.append(None)
+                vals = [c for c in col if c is not None]
+            self.fill.append(float(np.median(vals)) if vals else 0.0)
+
+    def transform(self, rows):
+        out = np.empty((len(rows), len(self.indices)))
+        for j, (i, mapping, fill) in enumerate(zip(self.indices, self.codes, self.fill)):
+            for k, r in enumerate(rows):
+                v = r[i]
+                if v is None:
+                    out[k, j] = fill
+                elif mapping is not None:
+                    out[k, j] = mapping.get(v, fill)
+                else:
+                    out[k, j] = v
+        return out
 
 
 def find_cuts(pairs):

@@ -5,7 +5,7 @@ import pytest
 from click.testing import CliRunner
 
 from xplan.cli import main
-from xplan.data_model import save_csv
+from tests.conftest import save_csv
 
 
 @pytest.fixture(scope="module")
@@ -211,6 +211,46 @@ class TestEval:
             assert res.exit_code == 1
             assert stderr_of(res).strip() == f"--config {cfg}: unknown keys: split-mode, treez"
         assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("schema", [
+        "{not json",
+        "[1, 2]",
+        "{}",
+        '{"features": {"name": "loc"}}',
+        '{"features": [{"kind": "numeric"}]}',
+        '{"features": [{"name": "loc", "weight": "heavy"}]}',
+    ])
+    def test_malformed_schema_exits_1(self, workdir, tmp_path, schema):
+        path = tmp_path / "schema.json"
+        path.write_text(schema)
+        res = runner.invoke(main, ["eval", "--data", str(workdir / "data.csv"),
+                                   "--schema", str(path), "--out", str(tmp_path / "r")])
+        assert res.exit_code == 1
+        assert res.exception is None or isinstance(res.exception, SystemExit)
+        err = stderr_of(res).strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(f"{path}: ")
+
+    def test_smote_with_numeric_dependent_exits_1(self, workdir, tmp_path):
+        schema = json.loads((workdir / "schema.json").read_text())
+        schema["class_mode"] = "numeric"
+        (tmp_path / "numeric.json").write_text(json.dumps(schema))
+        res = runner.invoke(main, ["eval", "--data", str(workdir / "data.csv"),
+                                   "--schema", str(tmp_path / "numeric.json"), "--smote",
+                                   "--out", str(tmp_path / "r")])
+        assert res.exit_code == 1
+        assert res.exception is None or isinstance(res.exception, SystemExit)
+        assert stderr_of(res).strip().splitlines() == [
+            "SMOTE needs a boolean dependent (class mode boolean-from-count)"]
+
+    def test_out_that_cannot_be_created_exits_1(self, workdir, tmp_path):
+        (tmp_path / "file").write_text("")
+        out = tmp_path / "file" / "res"
+        res = runner.invoke(main, ["eval"] + base_args(
+            workdir, "--methods", "identity", "--repeats", "1", "--out", str(out)))
+        assert res.exit_code == 1
+        assert res.exception is None or isinstance(res.exception, SystemExit)
+        err = stderr_of(res).strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(f"--out {out}: cannot write results")
 
     def test_config_that_is_not_an_object_exits_1(self, workdir, tmp_path):
         for text in ("[1, 2]", "{not json", None):

@@ -14,10 +14,10 @@ from xplan.data_model import (
     dependent_score,
     load_csv,
     load_schema,
-    normalize_bounds,
-    save_csv,
     split,
 )
+from tests.conftest import save_csv
+from tests.oracle import normalize_bounds
 
 DEFECT_SCHEMA = [
     FeatureSpec("loc"),

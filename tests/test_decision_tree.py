@@ -5,11 +5,17 @@ from xplan.data_model import MINIMIZE_RATE, MINIMIZE_VALUE, Dataset, FeatureSpec
 from xplan.decision_tree import (
     branch_path,
     build_tree,
-    dump,
     locate_leaf,
     siblings_at_level,
 )
 from xplan.num_core import variability
+
+
+def structure(node):
+    """Everything a node holds apart from its parent link, with its
+    subtree, for comparing two builds."""
+    return (node.members, node.score, node.depth, node.split_feature, node.centroid,
+            node.leaf_pos, [(cond, structure(child)) for cond, child in node.branches])
 
 
 def binary_signal_ds(n=40):
@@ -85,7 +91,8 @@ class TestBuildTree:
     def test_deterministic_given_data(self):
         ds = depth2_ds()
         t1, t2 = build_tree(ds, alpha=15), build_tree(ds, alpha=15)
-        assert dump(t1, ds) == dump(t2, ds)
+        assert structure(t1) == structure(t2)
+        assert t1.leaf_distances == t2.leaf_distances
 
     def test_regression_dependent_uses_sigma(self):
         feats = [FeatureSpec("x"), FeatureSpec("rt", role="dependent")]
@@ -164,10 +171,3 @@ class TestBranchPath:
         tree = build_tree(ds, alpha=10)
         assert branch_path(tree) == []
 
-
-def test_dump_renders_every_node():
-    ds = depth2_ds()
-    tree = build_tree(ds, alpha=15)
-    text = dump(tree, ds)
-    assert "split" in text and "leaf" in text
-    assert text.count("leaf") == len(tree.leaves())

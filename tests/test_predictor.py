@@ -103,12 +103,6 @@ class TestForest:
         with pytest.raises(ValueError):
             train_forest(ds, ForestParams(n_trees=1), CLASSIFY)
 
-    def test_summary_dump(self):
-        ds = separable_ds()
-        model = train_forest(ds, ForestParams(n_trees=3, seed=2), CLASSIFY)
-        s = model.summary()
-        assert s["mode"] == CLASSIFY and s["n_trees"] == 3 and s["seed"] == 2
-
 
 def nested(trees, node):
     """One tree of the flat arrays in the oracle's form: a leaf value or
@@ -123,7 +117,7 @@ def assert_matches_oracle(X, y, mode, params, queries):
     trees = predictor._grow_trees(X, y, mode, params)
     ref = oracle.grow_forest(X, y, mode, params)
     assert [nested(trees, t) for t in range(params.n_trees)] == ref
-    model = predictor.ForestModel(mode, params, None, trees)
+    model = predictor.ForestModel(mode, params, None, None, None, trees)
     for Q in (X, queries):
         assert model._predict(Q) == oracle.predict(ref, Q, mode)
 
@@ -192,10 +186,61 @@ class TestLockstepForest:
     def test_planted_scale_forest(self, planted):
         train, test = split(planted, SplitSpec(seed=3))
         model = train_forest(train, ForestParams(n_trees=20, seed=3))
-        X, y = model.encoder.transform(train.rows), np.array([float(v) for v in train.dep_values()])
+        X, y = model.matrix(train.rows), np.array([float(v) for v in train.dep_values()])
         ref = oracle.grow_forest(X, y, CLASSIFY, model.params)
         assert [nested(model.trees, t) for t in range(20)] == ref
-        assert model.predict(test.rows) == oracle.predict(ref, model.encoder.transform(test.rows), CLASSIFY)
+        assert model.predict(test.rows) == oracle.predict(ref, model.matrix(test.rows), CLASSIFY)
+
+
+@st.composite
+def encoding_cases(draw):
+    """Training rows over 1-5 features, numeric or discrete and varied,
+    constant or all missing, plus probe rows with missing cells, values
+    outside the training range and symbols unseen in training."""
+    kinds = draw(st.lists(st.sampled_from(["numeric", "discrete"]), min_size=1, max_size=5))
+    shapes = draw(st.lists(st.sampled_from(["varied", "constant", "missing"]),
+                           min_size=len(kinds), max_size=len(kinds)))
+    numbers = st.one_of(st.integers(-20, 20).map(float), st.floats(-1e3, 1e3))
+    symbols = st.sampled_from("dcbae")
+
+    def cell(kind, shape="varied", const=None):
+        if shape == "missing":
+            return None
+        if shape == "constant":
+            return const
+        return draw(st.none() | (numbers if kind == "numeric" else symbols))
+
+    consts = [draw(numbers if k == "numeric" else symbols) for k in kinds]
+    feats = [FeatureSpec(f"f{i}", kind=k) for i, k in enumerate(kinds)]
+    feats.append(FeatureSpec("bug", role="dependent"))
+    n = draw(st.integers(1, 12))
+    rows = [[cell(k, sh, c) for k, sh, c in zip(kinds, shapes, consts)] + [False] for _ in range(n)]
+    probes = [[cell(k) for k in kinds] + [True] for _ in range(draw(st.integers(0, 8)))]
+    return Dataset(feats, rows, MINIMIZE_RATE), probes
+
+
+class TestSingleEncoding:
+    """The forest reads ``num_core.encode``'s columns with the gaps filled,
+    cell for cell as the reference ``oracle.Encoder`` reads the rows."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(encoding_cases())
+    def test_forest_matrix_equals_reference_encoder(self, case):
+        train, probes = case
+        ref = oracle.Encoder(train)
+        model, X = predictor._unfitted(train, CLASSIFY, ForestParams())
+        assert np.array_equal(X, ref.transform(train.rows))
+        assert np.array_equal(model.matrix(probes), ref.transform(probes))
+        # the probes' new symbols take codes of their own, read as the fill
+        assert np.array_equal(model.matrix(train.rows + probes), ref.transform(train.rows + probes))
+
+    def test_codes_follow_sorted_symbols_not_first_seen(self):
+        feats = [FeatureSpec("os", kind="discrete"), FeatureSpec("bug", role="dependent")]
+        train = Dataset(feats, [["linux", True], ["bsd", False], ["mac", True], [None, False]],
+                        MINIMIZE_RATE)
+        model, X = predictor._unfitted(train, CLASSIFY, ForestParams())
+        assert X[:, 0].tolist() == [1.0, 0.0, 2.0, 1.0]  # the gap takes the median code
+        assert model.matrix([["aix", True], ["mac", False]])[:, 0].tolist() == [1.0, 2.0]
 
 
 class TestScores:
