@@ -5,13 +5,14 @@ derived from a raw defect count, and configuration tables with a numeric
 runtime class. Either way the dependent value is minimized.
 
 Cells are floats (numeric), strings (discrete), bools (boolean class) or
-None (missing, written as ``?`` in CSV).
+None (missing, written as ``?`` or ``nan`` in CSV).
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
 import random
 from dataclasses import dataclass, field
 
@@ -156,9 +157,14 @@ def _parse_cell(text, feat):
         return None
     if feat.kind == NUMERIC:
         try:
-            return float(text)
+            value = float(text)
         except ValueError:
             raise DataError(f"non-numeric cell {text!r} in numeric column {feat.name!r}")
+        if math.isfinite(value):
+            return value
+        if math.isinf(value):
+            raise DataError(f"infinite cell {text!r} in numeric column {feat.name!r}")
+        return None  # nan reads as missing, like ``?``
     return text
 
 

@@ -48,6 +48,7 @@ from xplan.scott_knott import MethodSamples
 from xplan.where_cluster import ClusterConfig, cluster
 
 ALL_METHODS = ("identity", "cd", "cdfs", "bic", "xtree")
+_BLOCK_CELLS = 1 << 16  # distances per block of nearest_distances: bounds its temporaries
 
 
 class GateError(RuntimeError):
@@ -188,8 +189,13 @@ class SeedArtifacts:
 
 
 def nearest_distances(train, rows):
-    """Distance from each encoded row to its nearest encoded training row."""
-    return distance(rows, train).min(axis=1)
+    """Distance from each encoded row to its nearest encoded training row: the
+    full matrix's minima, over blocks of at most ``_BLOCK_CELLS`` cells (or one row)."""
+    nearest = np.empty(len(rows))
+    step = max(1, _BLOCK_CELLS // max(1, len(train)))
+    for lo in range(0, len(rows), step):
+        nearest[lo:lo + step] = distance(rows.take(slice(lo, lo + step)), train).min(axis=1)
+    return nearest
 
 
 def trust_report(train, test_rows, changed_rows, before):

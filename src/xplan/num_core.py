@@ -8,7 +8,8 @@ with raw numeric values, symbol codes and NaN for missing cells.
 Distance is a weighted Euclidean over these columns, with numerics
 normalized to [0,1] by the training bounds, discrete mismatch counting
 1, and missing values resolved pessimistically (a fully-missing pair
-contributes 1).
+contributes 1). Each encoded table normalizes its numerics once, into a
+cached ``unit`` array that ``distance`` reads and ``take`` slices.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -83,9 +85,24 @@ class Encoded:
     def __len__(self):
         return self.cols.shape[1]
 
+    @cached_property
+    def unit(self):
+        """What ``distance`` compares: ``cols`` with numerics mapped into
+        [0,1] by the training bounds, clamped (a constant column is 0)."""
+        unit = self.cols.copy()
+        for col, name, kind in zip(unit, self.cfg.names, self.cfg.kinds):
+            if kind == NUMERIC:
+                lo, hi = self.cfg.bounds.get(name, (0.0, 0.0))
+                col[:] = (np.clip((col - lo) / (hi - lo), 0.0, 1.0) if hi > lo
+                          else np.where(np.isnan(col), col, 0.0))
+        return unit
+
     def take(self, idx):
-        """The rows at the given positions, as a new table."""
-        return Encoded(self.cfg, self.cols[:, idx])
+        """The rows at the given positions, as a new table whose ``unit`` is
+        sliced from this one's: every caller takes rows to measure them."""
+        taken = Encoded(self.cfg, self.cols[:, idx])
+        taken.unit = self.unit[:, idx]
+        return taken
 
 
 def encode(rows, cfg):
@@ -108,12 +125,8 @@ def distance(a, b):
     schema order, exactly as a scalar loop over one pair would sum it."""
     cfg = a.cfg
     total = np.zeros((len(a), len(b)))
-    for name, kind, w, ca, cb in zip(cfg.names, cfg.kinds, cfg.weights, a.cols, b.cols):
+    for kind, w, ca, cb in zip(cfg.kinds, cfg.weights, a.unit, b.unit):
         if kind == NUMERIC:
-            # into [0,1] by the training bounds, clamped; a constant column is 0
-            lo, hi = cfg.bounds.get(name, (0.0, 0.0))
-            ca, cb = (np.clip((c - lo) / (hi - lo), 0.0, 1.0) if hi > lo
-                      else np.where(np.isnan(c), c, 0.0) for c in (ca, cb))
             d = ca[:, None] - cb[None, :]
             np.abs(d, out=d)
             miss_a, miss_b = np.isnan(ca), np.isnan(cb)

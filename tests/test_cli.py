@@ -141,6 +141,17 @@ class TestEval:
         assert (tmp_path / "a/results.jsonl").read_bytes() == \
                (tmp_path / "b/results.jsonl").read_bytes()
 
+    def test_infinite_csv_cell_exits_1(self, workdir, tmp_path):
+        header, first, *rest = (workdir / "data.csv").read_text().splitlines()
+        (tmp_path / "inf.csv").write_text("\n".join([header, "inf" + first[first.index(","):], *rest]))
+        res = runner.invoke(main, ["eval", "--data", str(tmp_path / "inf.csv"),
+                                   "--schema", str(workdir / "schema.json"),
+                                   "--out", str(tmp_path / "r")])
+        assert res.exit_code == 1
+        assert res.exception is None or isinstance(res.exception, SystemExit)
+        assert stderr_of(res).strip().splitlines() == ["infinite cell 'inf' in numeric column 'n0'"]
+        assert not (tmp_path / "r").exists()
+
     @pytest.mark.parametrize("trees", ["0", "-3"])
     def test_bad_trees_is_usage_error(self, workdir, tmp_path, trees):
         res = runner.invoke(main, ["eval"] + base_args(

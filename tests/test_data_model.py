@@ -62,6 +62,23 @@ def test_missing_marker_and_bad_numeric(tmp_path):
         load_csv(p2, DEFECT_SCHEMA)
 
 
+def test_nan_cell_reads_as_missing_whatever_the_row_order(tmp_path):
+    for body in ("1,2,1\nnan,2,0\n5,2,1\n", "nan,2,0\n1,2,1\n5,2,1\n", "1,2,1\n5,2,1\nNaN,2,0\n"):
+        ds = load_csv(write_defect_csv(tmp_path, body), DEFECT_SCHEMA)
+        assert ds.bounds["loc"] == (1.0, 5.0)
+        assert sorted(r[0] for r in ds.rows if r[0] is not None) == [1.0, 5.0]
+    with pytest.raises(DataError, match="dependent cell may not be missing"):
+        load_csv(write_defect_csv(tmp_path, "1,2,nan\n"), DEFECT_SCHEMA)
+
+
+@pytest.mark.parametrize("cell", ["inf", "-inf", "Infinity", "1e999"])
+def test_infinite_cell_names_cell_and_column(tmp_path, cell):
+    p = write_defect_csv(tmp_path, f"1,2,1\n3,{cell},0\n")
+    with pytest.raises(DataError) as err:
+        load_csv(p, DEFECT_SCHEMA)
+    assert str(err.value) == f"infinite cell {cell!r} in numeric column 'wmc'"
+
+
 def test_wrong_arity_and_header_mismatch(tmp_path):
     p = write_defect_csv(tmp_path, "1,2\n")
     with pytest.raises(DataError):

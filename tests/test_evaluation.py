@@ -1,7 +1,10 @@
 import math
 import random
+import tracemalloc
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from xplan import evaluation
 from xplan.data_model import MINIMIZE_RATE, Dataset, FeatureSpec, SplitSpec, split
@@ -19,9 +22,11 @@ from xplan.evaluation import (
     write_csv_summary,
     write_jsonl,
 )
-from xplan.num_core import DistanceConfig, encode
+from xplan.num_core import DistanceConfig, distance, encode
 from xplan.planners import PlannerConfig
 from xplan.predictor import ForestParams
+from tests.conftest import planted_defect_data
+from tests.test_num_core import schema_and_rows
 
 PARAMS = ForestParams(n_trees=15)
 
@@ -191,6 +196,62 @@ class TestTrustReport:
         dcfg = DistanceConfig.from_dataset(tr)
         measured = nearest_distances(encode(tr.rows, dcfg), encode(changed, dcfg))
         assert [a for _, a in rep.per_row] == measured.tolist()
+
+
+class TestBlockedNearest:
+    """``nearest_distances`` takes its minima block by block; every one must
+    equal the full kernel matrix's row minimum, bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(schema_and_rows(), st.integers(1, 40))
+    def test_blocked_minima_equal_the_full_matrix(self, case, budget):
+        # budgets below len(train) give one-row blocks, most others a ragged last block
+        ds, probes = case
+        train = encode(ds.rows, DistanceConfig.from_dataset(ds))
+        with mock.patch.object(evaluation, "_BLOCK_CELLS", budget):
+            for rows in (ds.rows, *probes):
+                enc = encode(rows, train.cfg)
+                nearest = nearest_distances(train, enc)
+                assert nearest.shape == (len(rows),)
+                if rows:
+                    assert (nearest == distance(enc, train).min(axis=1)).all()
+
+    @pytest.mark.parametrize("per_block, sizes", [(1, [1] * 20), (7, [7, 7, 6]), (20, [20])])
+    def test_rows_are_measured_in_blocks(self, halves, monkeypatch, per_block, sizes):
+        tr, te = halves
+        train = encode(tr.rows, DistanceConfig.from_dataset(tr))
+        rows = encode(te.rows[:20], train.cfg)
+        seen = []
+
+        def spy(a, b):
+            seen.append(len(a))
+            return distance(a, b)
+
+        monkeypatch.setattr(evaluation, "distance", spy)
+        monkeypatch.setattr(evaluation, "_BLOCK_CELLS", (per_block + 1) * len(train) - 1)
+        nearest = nearest_distances(train, rows)
+        assert seen == sizes
+        assert (nearest == distance(rows, train).min(axis=1)).all()
+
+    def test_zero_rows_give_an_empty_array(self, halves):
+        tr, _ = halves
+        train = encode(tr.rows, DistanceConfig.from_dataset(tr))
+        nearest = nearest_distances(train, encode([], train.cfg))
+        assert nearest.shape == (0,)
+
+    def test_peak_memory_stays_far_below_the_full_matrix(self):
+        # 1000 x 3000 cells: the full matrix alone would take 24 MB, and the
+        # unblocked kernel with its temporaries peaked at 96 MB
+        tr, te = planted_defect_data(n_train=3000, n_test=1000)
+        train = encode(tr.rows, DistanceConfig.from_dataset(tr))
+        rows = encode(te.rows, train.cfg)
+        tracemalloc.start()
+        try:
+            nearest_distances(train, rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
 
 
 class TestChangeFrequency:

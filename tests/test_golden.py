@@ -8,7 +8,9 @@ Two fixed runs are compared, byte for byte, with the files under
 - ``config.jsonl``: ``xplan eval`` on a small configuration table with a
   rule file, so constraint culling is part of the output.
 
-A change that must not move any result has to pass both unchanged. To
+Both runs are checked once more with the trust distances taken in
+one-row and in ragged blocks. A change that must not move any result
+has to pass all of them unchanged. To
 regenerate the files from the code of the current checkout (only when a
 change of results is intended and explained):
 
@@ -20,6 +22,7 @@ import math
 import random
 from pathlib import Path
 
+import pytest
 from click.testing import CliRunner
 
 from xplan import evaluation
@@ -104,6 +107,18 @@ def test_config_with_rules_matches_golden(tmp_path, monkeypatch):
     path = write_config(tmp_path)
     assert culled, "the golden run must cull at least one plan"
     assert path.read_bytes() == (GOLDEN / "config.jsonl").read_bytes()
+
+
+@pytest.mark.parametrize("budget", [1, 4500])
+def test_goldens_hold_in_small_trust_blocks(tmp_path, monkeypatch, budget):
+    """The trust distances in one-row blocks, and in ragged ones: 4,500
+    cells are 7 of the planted run's 600 training rows (its 200 test rows
+    make 28 blocks and 4 rows) and 37 of the config run's 120 (3 blocks
+    and 9 rows)."""
+    monkeypatch.setattr(evaluation, "_BLOCK_CELLS", budget)
+    write_planted(tmp_path / "results.jsonl")
+    assert (tmp_path / "results.jsonl").read_bytes() == (GOLDEN / "planted.jsonl").read_bytes()
+    assert write_config(tmp_path).read_bytes() == (GOLDEN / "config.jsonl").read_bytes()
 
 
 if __name__ == "__main__":

@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -180,3 +181,17 @@ class TestKernelMatchesScalarOracle:
         full = distance(enc, enc)
         picked = [7, 2, 2, 5]
         assert (distance(enc.take(picked), enc) == full[picked]).all()
+
+    @settings(max_examples=100, deadline=None)
+    @given(schema_and_rows(), st.data())
+    def test_take_slices_the_normalized_view_exactly(self, case, data):
+        ds, (extra, _) = case
+        rows = ds.rows + extra
+        enc = encode(rows, DistanceConfig.from_dataset(ds))
+        idx = data.draw(st.lists(st.integers(0, len(rows) - 1), max_size=8))
+        lo = data.draw(st.integers(0, len(rows)))
+        for pick, taken in ((idx, enc.take(idx)), (range(lo, len(rows)), enc.take(slice(lo, None)))):
+            assert "unit" in vars(enc) and "unit" in vars(taken)  # sliced, not rebuilt
+            fresh = encode([rows[i] for i in pick], enc.cfg)
+            assert np.array_equal(taken.cols, fresh.cols, equal_nan=True)
+            assert np.array_equal(taken.unit, fresh.unit, equal_nan=True)
