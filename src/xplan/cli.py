@@ -86,27 +86,34 @@ def shared_options(fn):
     return fn
 
 
-def _prepare(data, schema, constraints, seed, split_mode, train_versions,
-             test_versions, trees, tune, use_smote):
-    if trees < 1:
-        raise DataError(f"--trees must be at least 1, not {trees}")
-    feats, class_mode = load_schema(schema)
-    ds = load_csv(data, feats, class_mode)
-    spec = SplitSpec(
-        mode=split_mode,
-        train_versions=[v for v in train_versions.split(",") if v],
-        test_versions=[v for v in test_versions.split(",") if v],
-        seed=seed,
-    )
-    train, test = split(ds, spec)
-    fm = load_feature_model(constraints, ds) if constraints else None
-    if use_smote:
-        train = smote(train, rng=random.Random(seed))
-    if tune:
-        params = tune_de(train, seed=seed)
-    else:
-        params = ForestParams(n_trees=trees, seed=seed)
-    return train, test, fm, params
+def _prepare(data, schema, constraints, alpha, beta, gamma, seed, split_mode,
+             train_versions, test_versions, trees, tune, use_smote):
+    """The run's inputs; a data error or a bad value prints one line, exit 1."""
+    try:
+        if trees < 1:
+            raise DataError(f"--trees must be at least 1, not {trees}")
+        if alpha is not None and alpha < 2:
+            raise DataError(f"--alpha must be at least 2, not {alpha}")
+        feats, class_mode = load_schema(schema)
+        ds = load_csv(data, feats, class_mode)
+        spec = SplitSpec(
+            mode=split_mode,
+            train_versions=[v for v in train_versions.split(",") if v],
+            test_versions=[v for v in test_versions.split(",") if v],
+            seed=seed,
+        )
+        train, test = split(ds, spec)
+        fm = load_feature_model(constraints, ds) if constraints else None
+        if use_smote:
+            train = smote(train, rng=random.Random(seed))
+        if tune:
+            params = tune_de(train, seed=seed)
+        else:
+            params = ForestParams(n_trees=trees, seed=seed)
+    except (DataError, OSError) as exc:
+        click.echo(str(exc), err=True)
+        sys.exit(EXIT_DATA)
+    return train, test, fm, params, PlannerConfig(alpha=alpha, beta=beta, gamma=gamma)
 
 
 def _gate_failed(score):
@@ -146,7 +153,26 @@ def _rank(results, seed):
     return scott_knott_rank(samples, random.Random(seed))
 
 
-@click.group()
+class _Main(click.Group):
+    """Exits 1 on click's usage errors too (2 means a failed gate), which the
+    group's arguments raise in ``make_context`` and a command's in ``invoke``."""
+
+    def make_context(self, *args, **kwargs):
+        return _usage_exit(super().make_context, *args, **kwargs)
+
+    def invoke(self, ctx):
+        return _usage_exit(super().invoke, ctx)
+
+
+def _usage_exit(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except click.UsageError as exc:
+        exc.exit_code = EXIT_DATA
+        raise
+
+
+@click.group(cls=_Main)
 def main():
     """Learn and evaluate feature-change plans for tabular project data."""
 
@@ -158,18 +184,11 @@ def main():
               help="Planning method, or 'all' for every method.")
 @click.option("--rows", default="all", show_default=True,
               help="Comma-separated test row indices, or 'all'.")
-def cmd_plan(method, rows, data, schema, constraints, alpha, beta, gamma, seed,
-             split_mode, train_versions, test_versions, trees, tune, use_smote):
+def cmd_plan(method, rows, seed, **shared):
     """Print JSON plans for the selected test rows."""
-    try:
-        train, test, fm, params = _prepare(data, schema, constraints, seed, split_mode,
-                                           train_versions, test_versions, trees, tune, use_smote)
-    except (DataError, OSError) as exc:
-        click.echo(str(exc), err=True)
-        sys.exit(EXIT_DATA)
+    train, test, fm, params, cfg = _prepare(seed=seed, **shared)
     methods = list(ALL_METHODS[1:]) if method == "all" else [method]
     selected = _row_indices(rows, len(test.rows))
-    cfg = PlannerConfig(alpha=alpha, beta=beta, gamma=gamma, seed=seed)
     try:
         arts = RunArtifacts(train, test, cfg, fm, params).for_seed(seed, methods)
     except GateError as exc:
@@ -189,21 +208,14 @@ def cmd_plan(method, rows, data, schema, constraints, alpha, beta, gamma, seed,
               help="Output directory for JSONL and CSV results.")
 @click.option("--format", "fmt", type=click.Choice(["text", "json", "csv"]),
               default="text", show_default=True)
-def cmd_eval(methods, repeats, out, fmt, data, schema, constraints, alpha, beta, gamma,
-             seed, split_mode, train_versions, test_versions, trees, tune, use_smote):
+def cmd_eval(methods, repeats, out, fmt, seed, **shared):
     """Run repeated experiments and print the ranked report."""
     method_list = [m for m in methods.split(",") if m]
     bad = [m for m in method_list if m not in ALL_METHODS]
     if bad or not method_list or repeats < 1:
         click.echo(f"bad methods or repeats: {bad or methods!r}", err=True)
         sys.exit(EXIT_DATA)
-    try:
-        train, test, fm, params = _prepare(data, schema, constraints, seed, split_mode,
-                                           train_versions, test_versions, trees, tune, use_smote)
-    except (DataError, OSError) as exc:
-        click.echo(str(exc), err=True)
-        sys.exit(EXIT_DATA)
-    cfg = PlannerConfig(alpha=alpha, beta=beta, gamma=gamma, seed=seed)
+    train, test, fm, params, cfg = _prepare(seed=seed, **shared)
     try:
         results = run_repeats(train, test, method_list, cfg, n=repeats,
                               base_seed=seed, fm=fm, forest_params=params)
@@ -235,7 +247,7 @@ def cmd_report(results_path, seed):
     """Rank table, change frequencies and trust summary from saved results."""
     try:
         results = read_jsonl(results_path)
-    except (OSError, json.JSONDecodeError, TypeError, KeyError) as exc:
+    except (OSError, DataError) as exc:
         click.echo(f"cannot read results: {exc}", err=True)
         sys.exit(EXIT_DATA)
     if not results:

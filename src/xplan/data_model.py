@@ -168,23 +168,31 @@ def _parse_cell(text, feat):
     return text
 
 
+def read_lines(path):
+    """A UTF-8 text file's lines, ends kept, streamed; other bytes are a DataError."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        try:
+            yield from fh
+        except UnicodeDecodeError:
+            raise DataError(f"{path}: not UTF-8 text") from None
+
+
 def load_csv(path, schema, class_mode="boolean-from-count"):
     """Load a CSV whose header matches the schema names, in order."""
     features = list(schema)
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise DataError(f"{path}: empty file")
-        if [h.strip() for h in header] != [f.name for f in features]:
-            raise DataError(f"{path}: header does not match schema names")
-        rows = []
-        for lineno, rec in enumerate(reader, start=2):
-            if not rec:
-                continue
-            if len(rec) != len(features):
-                raise DataError(f"{path}:{lineno}: expected {len(features)} cells, got {len(rec)}")
-            rows.append([_parse_cell(c, f) for c, f in zip(rec, features)])
+    reader = csv.reader(read_lines(path))
+    header = next(reader, None)
+    if header is None:
+        raise DataError(f"{path}: empty file")
+    if [h.strip() for h in header] != [f.name for f in features]:
+        raise DataError(f"{path}: header does not match schema names")
+    rows = []
+    for lineno, rec in enumerate(reader, start=2):
+        if not rec:
+            continue
+        if len(rec) != len(features):
+            raise DataError(f"{path}:{lineno}: expected {len(features)} cells, got {len(rec)}")
+        rows.append([_parse_cell(c, f) for c, f in zip(rec, features)])
 
     dep = next(f for f in features if f.role == DEPENDENT)
     di = features.index(dep)

@@ -9,7 +9,6 @@ branches.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 from xplan.data_model import (
@@ -21,7 +20,7 @@ from xplan.data_model import (
 )
 from xplan.discretize import Bin, mdl_discretize
 from xplan.num_core import DistanceConfig, distance_matrix, variability
-from xplan.where_cluster import centroid_of
+from xplan.where_cluster import ClusterConfig, centroid_of
 
 MIN_GAIN = 1e-6  # absolute variability reduction needed to keep a split
 
@@ -107,8 +106,7 @@ def build_tree(train, alpha=None):
     n = len(train.rows)
     if n == 0:
         raise ValueError("empty training data")
-    if alpha is None:
-        alpha = max(2, math.ceil(math.sqrt(n)))
+    alpha = ClusterConfig(alpha).resolve_alpha(n)
     labels = _dep_labels(train)
 
     def grow(ids, depth, parent):

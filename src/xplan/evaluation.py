@@ -18,9 +18,11 @@ import math
 import random
 from dataclasses import asdict, dataclass, replace
 from functools import cached_property
+from typing import get_type_hints
 
 import numpy as np
 
+from xplan.data_model import DataError, read_lines
 from xplan.discretize import rank_features
 from xplan.decision_tree import build_tree
 from xplan.num_core import DistanceConfig, distance, encode
@@ -39,6 +41,7 @@ from xplan.predictor import (
     CLASSIFY,
     ForestModel,
     ForestParams,
+    forest_input,
     gate,
     score_classifier,
     score_regressor,
@@ -78,10 +81,13 @@ class ExperimentResult:
 
     @classmethod
     def from_json(cls, raw):
-        raw = dict(raw)
-        if raw.get("ratio") is None:
-            raw["ratio"] = math.nan
-        return cls(**raw)
+        """The result of a ``to_json`` object; TypeError for anything else."""
+        r = cls(**{**raw, "ratio": math.nan if raw.get("ratio") is None else raw["ratio"]})
+        bad = [name for name, t in get_type_hints(cls).items()
+               if not isinstance(getattr(r, name), (int, float) if t is float else t)]
+        if bad or not all(isinstance(f, str) for f in r.changed_features):
+            raise TypeError(f"bad {', '.join(bad or ['changed_features'])}")
+        return r
 
 
 @dataclass
@@ -108,9 +114,9 @@ def _total(mode, preds):
 class RunArtifacts:
     """One train/test split with its planner settings, feature model and
     forest parameters, plus what every seed of a run shares: the encoded
-    train and test rows and, built on first use, xtree's tree with its leaf
-    centroids (``build_tree`` draws no random numbers) and each test row's
-    distance to its nearest training row."""
+    train and test rows, the forest's input and, built on first use,
+    xtree's tree with its leaf centroids (``build_tree`` draws no random
+    numbers) and each test row's distance to its nearest training row."""
 
     def __init__(self, train, test, cfg, fm=None, forest_params=None):
         self.train = train
@@ -121,6 +127,7 @@ class RunArtifacts:
         self.dcfg = DistanceConfig.from_dataset(train)
         self.encoded_train = encode(train.rows, self.dcfg)
         self.encoded_test = encode(test.rows, self.dcfg)
+        self.forest_input = forest_input(train, self.encoded_train)
 
     @cached_property
     def tree(self):
@@ -138,11 +145,12 @@ class RunArtifacts:
         unknown = [m for m in methods if m not in ALL_METHODS]
         if unknown:
             raise ValueError(f"unknown method {unknown[0]!r}")
-        model = train_forest(self.train, replace(self.forest_params, seed=seed))
-        score = (score_classifier if model.mode == CLASSIFY else score_regressor)(model, self.test)
+        model = train_forest(self.forest_input, replace(self.forest_params, seed=seed))
+        predicted = model.predict(self.encoded_test)
+        score = (score_classifier if model.mode == CLASSIFY else score_regressor)(self.test, predicted)
         if not gate(score):
             raise GateError(score)
-        before = _total(model.mode, score.predicted)
+        before = _total(model.mode, predicted)
         return SeedArtifacts(self, seed, model, before, self._planners(seed, methods))
 
     def _planners(self, seed, methods):
@@ -198,17 +206,17 @@ def nearest_distances(train, rows):
     return nearest
 
 
-def trust_report(train, test_rows, changed_rows, before):
+def trust_report(train, test, changed, before):
     """Mean distance to the nearest of the encoded training rows before
-    and after the changes.
+    and after the changes, from the encoded test rows and changed rows.
 
-    ``before`` holds the nearest distances of ``test_rows``; a changed row
+    ``before`` holds the nearest distances of ``test``; a changed row
     equal to its test row keeps that distance, the others are measured.
     """
     after = before.copy()
-    moved = [i for i, (z, c) in enumerate(zip(test_rows, changed_rows)) if c != z]
-    if moved:
-        after[moved] = nearest_distances(train, encode([changed_rows[i] for i in moved], train.cfg))
+    same = (test.cols == changed.cols) | (np.isnan(test.cols) & np.isnan(changed.cols))
+    moved = np.flatnonzero(~same.all(axis=0))
+    after[moved] = nearest_distances(train, changed.take(moved))
     return TrustReport(
         float(np.mean(before)),
         float(np.mean(after)),
@@ -244,9 +252,10 @@ def run_experiment(train, test, method, arts):
         changed.append(candidate)
 
     before = arts.before
-    after = _total(arts.model.mode, arts.model.predict(changed))
+    encoded = encode(changed, run.dcfg)
+    after = _total(arts.model.mode, arts.model.predict(encoded))
     ratio = after / before if before > 0 else math.nan
-    trust = trust_report(run.encoded_train, test.rows, changed, run.nearest)
+    trust = trust_report(run.encoded_train, run.encoded_test, encoded, run.nearest)
     return ExperimentResult(
         method=method,
         seed=seed,
@@ -307,14 +316,16 @@ def write_jsonl(results, path):
 
 
 def read_jsonl(path):
+    """Results as ``write_jsonl`` saves them; any other line is a DataError."""
     results = {}
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
+    for lineno, line in enumerate(read_lines(path), start=1):
+        if not line.strip():
+            continue
+        try:
             r = ExperimentResult.from_json(json.loads(line))
-            results.setdefault(r.method, []).append(r)
+        except (TypeError, ValueError) as exc:
+            raise DataError(f"{path}:{lineno}: not a result record: {exc}") from None
+        results.setdefault(r.method, []).append(r)
     return results
 
 

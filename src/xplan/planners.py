@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from xplan.data_model import INDEPENDENT, NUMERIC, DataError
+from xplan.data_model import INDEPENDENT, NUMERIC, DataError, read_lines
 from xplan.decision_tree import branch_path, locate_leaf, siblings_at_level
 from xplan.discretize import Bin
 from xplan.num_core import distance
@@ -20,8 +20,6 @@ from xplan.where_cluster import nearest_cluster
 SHIFT = "shift"    # numeric: add delta, clamp to training bounds
 SET = "set"        # discrete: replace the symbol
 SAMPLE = "sample"  # numeric: value drawn from (lo, hi] at plan time
-
-METHODS = ("cd", "cdfs", "bic", "xtree")
 
 
 @dataclass
@@ -66,7 +64,6 @@ class PlannerConfig:
     alpha: int | None = None  # cluster/tree split size; None -> ceil(sqrt(N))
     beta: float = 0.33        # fraction of most-informative features kept
     gamma: float = 0.5        # sibling qualifies when score < gamma * current
-    seed: int = 1
 
 
 def _centroid_deltas(src, dst, ds):
@@ -249,22 +246,21 @@ def load_feature_model(path, ds=None):
     """Line-oriented rules: ``requires A B``, ``excludes A B``,
     ``xor A B C``, ``or A B C``. Blank lines and ``#`` comments ignored."""
     fm = FeatureModel()
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            parts = line.split("#", 1)[0].split()
-            if not parts:
-                continue
-            op, args = parts[0].lower(), parts[1:]
-            if op == "requires" and len(args) == 2:
-                fm.requires.append(tuple(args))
-            elif op == "excludes" and len(args) == 2:
-                fm.excludes.append(tuple(args))
-            elif op == "xor" and len(args) >= 2:
-                fm.exactly_one.append(args)
-            elif op == "or" and len(args) >= 2:
-                fm.at_least_one.append(args)
-            else:
-                raise DataError(f"{path}:{lineno}: bad rule {line.strip()!r}")
+    for lineno, line in enumerate(read_lines(path), start=1):
+        parts = line.split("#", 1)[0].split()
+        if not parts:
+            continue
+        op, args = parts[0].lower(), parts[1:]
+        if op == "requires" and len(args) == 2:
+            fm.requires.append(tuple(args))
+        elif op == "excludes" and len(args) == 2:
+            fm.excludes.append(tuple(args))
+        elif op == "xor" and len(args) >= 2:
+            fm.exactly_one.append(args)
+        elif op == "or" and len(args) >= 2:
+            fm.at_least_one.append(args)
+        else:
+            raise DataError(f"{path}:{lineno}: bad rule {line.strip()!r}")
     if ds is not None:
         known = {f.name for f in ds.features}
         unknown = fm.referenced() - known

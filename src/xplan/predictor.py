@@ -6,7 +6,8 @@ subset per split. Classification aggregates tree votes by majority;
 regression averages tree means. Nothing here ever reads test rows during
 training or tuning. The trees split the columns of ``num_core.encode``:
 raw numeric values and sorted symbol codes, with each gap filled by its
-column's training median.
+column's training median. The forest encodes no rows itself: it reads
+tables encoded with the training rows' config (see ``forest_input``).
 
 Tree t draws its bootstrap sample, then one feature subset per splittable
 node in depth-first preorder, from its own ``default_rng((seed, t))``. The
@@ -20,7 +21,7 @@ from __future__ import annotations
 import math
 import random
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -56,14 +57,12 @@ class ForestParams:
 class ClassifierScore:
     pd: float  # recall, percent
     pf: float  # false alarm, percent
-    predicted: list = field(default=None, repr=False)  # the scored predictions
 
 
 @dataclass
 class RegressorScore:
     s: float              # mean of 1 - |a - p| / a
     per_item: list = None
-    predicted: list = field(default=None, repr=False)  # the scored predictions
 
 
 _CELL_CAP = 4096  # padded cells per batched search or walk: bounds temporaries
@@ -227,26 +226,18 @@ def _grow_trees(X, y, mode, params):
 @dataclass
 class ForestModel:
     """Trees over the training rows' encoding, where a missing cell or an
-    unseen symbol reads as its column's fill (see ``_unfitted``)."""
+    unseen symbol reads as its column's fill (see ``forest_input``)."""
 
     mode: str
     params: ForestParams
-    cfg: DistanceConfig  # the training rows' config
     fill: np.ndarray     # per column
     unseen: np.ndarray   # per column: the training symbols' count (NaN: numeric)
     trees: Trees
 
-    def matrix(self, rows):
-        """Rows as the (rows x features) matrix the trees split."""
-        X = encode(rows, self.cfg).cols.T
-        return np.where(np.isnan(X) | (X >= self.unseen), self.fill, X)
-
-    def predict(self, rows):
-        return self._predict(self.matrix(rows))
-
-    def _predict(self, X):
-        """Walk every tree for a block of rows at once, one level per pass."""
-        t, n_trees = self.trees, self.params.n_trees
+    def predict(self, table):
+        """Predictions for a table encoded with the training rows' config:
+        every tree walks a block of rows at once, one level per pass."""
+        X, t, n_trees = _filled(table, self.fill, self.unseen), self.trees, self.params.n_trees
         votes = np.zeros(len(X))
         step = max(1, _CELL_CAP // n_trees)
         for lo in range(0, len(X), step):
@@ -262,8 +253,19 @@ class ForestModel:
         return [v / n_trees for v in votes]
 
 
-def _targets(train, mode):
-    """The dependent values as floats, checked against the forest's mode."""
+def _filled(table, fill, unseen):
+    """The (rows x features) matrix the trees split."""
+    X = table.cols.T
+    return np.where(np.isnan(X) | (X >= unseen), fill, X)
+
+
+def forest_input(train, encoded, mode=None):
+    """What every fit on ``train`` reads, from its rows ``encoded`` with
+    ``DistanceConfig.from_dataset(train)``: mode, targets, the matrix the
+    trees split and each column's fill (median of the present cells, else
+    0.0) and unseen limit (the training symbols hold the lowest codes)."""
+    if mode is None:
+        mode = CLASSIFY if train.objective == MINIMIZE_RATE else REGRESS
     if not train.rows:
         raise ValueError("empty training data")
     dep = train.dep_values()
@@ -271,53 +273,42 @@ def _targets(train, mode):
         raise ValueError("classification needs a boolean dependent")
     if mode == REGRESS and any(isinstance(v, bool) for v in dep):
         raise ValueError("regression needs a numeric dependent")
-    return np.array([float(v) for v in dep])
+    present = ~np.isnan(encoded.cols)
+    fill = np.array([float(np.median(c[p])) if p.any() else 0.0 for c, p in zip(encoded.cols, present)])
+    unseen = np.array([(c[p].max() + 1 if p.any() else 0.0) if kind == DISCRETE else math.nan
+                       for c, p, kind in zip(encoded.cols, present, encoded.cfg.kinds)])
+    y = np.array([float(v) for v in dep])
+    return mode, y, _filled(encoded, fill, unseen), fill, unseen
 
 
-def _unfitted(train, mode, params):
-    """A forest model without trees for ``train``, and train's matrix. A
-    column's fill is the median of its present cells, or 0.0 if none is."""
-    cfg = DistanceConfig.from_dataset(train)
-    X = encode(train.rows, cfg).cols.T
-    present = ~np.isnan(X)
-    fill = np.array([float(np.median(c[p])) if p.any() else 0.0 for c, p in zip(X.T, present.T)])
-    unseen = np.array([len(cfg.codes[name]) if kind == DISCRETE else math.nan
-                       for name, kind in zip(cfg.names, cfg.kinds)])
-    return ForestModel(mode, params, cfg, fill, unseen, None), np.where(present, X, fill)
+def train_forest(data, params):
+    """A forest grown on ``data``, a ``forest_input``."""
+    mode, y, X, fill, unseen = data
+    return ForestModel(mode, params, fill, unseen, _grow_trees(X, y, mode, params))
 
 
-def train_forest(train, params=None, mode=None):
-    params = params or ForestParams()
-    if mode is None:
-        mode = CLASSIFY if train.objective == MINIMIZE_RATE else REGRESS
-    y = _targets(train, mode)
-    model, X = _unfitted(train, mode, params)
-    model.trees = _grow_trees(X, y, mode, params)
-    return model
-
-
-def score_classifier(model, test, predicted=None):
+def score_classifier(test, predicted):
+    """Recall and false alarms of the predictions for test's rows."""
     actual = test.dep_values()
-    predicted = model.predict(test.rows) if predicted is None else predicted
     tp = sum(1 for a, p in zip(actual, predicted) if a and p)
     fn = sum(1 for a, p in zip(actual, predicted) if a and not p)
     fp = sum(1 for a, p in zip(actual, predicted) if not a and p)
     tn = sum(1 for a, p in zip(actual, predicted) if not a and not p)
     pd = 100 * tp / (tp + fn) if tp + fn else math.nan
     pf = 100 * fp / (fp + tn) if fp + tn else math.nan
-    return ClassifierScore(pd, pf, predicted)
+    return ClassifierScore(pd, pf)
 
 
-def score_regressor(model, test, predicted=None):
+def score_regressor(test, predicted):
+    """Mean closeness of the predictions for test's rows to their values."""
     actual = test.dep_values()
-    predicted = model.predict(test.rows) if predicted is None else predicted
     items = []
     for a, p in zip(actual, predicted):
         if a == 0:
             warnings.warn("skipping test item with zero actual value")
             continue
         items.append(1 - abs(a - p) / a)
-    return RegressorScore(sum(items) / len(items) if items else math.nan, items, predicted)
+    return RegressorScore(sum(items) / len(items) if items else math.nan, items)
 
 
 def gate(score, s_threshold=0.9):
@@ -426,25 +417,22 @@ def tune_de(train, budget=200, rng=None, mode=None, seed=1):
     if budget < pop_size:
         raise ValueError(f"budget {budget} below population size {pop_size}")
     rng = rng or np.random.default_rng(seed)
-    if mode is None:
-        mode = CLASSIFY if train.objective == MINIMIZE_RATE else REGRESS
     fit, val = split(train, SplitSpec(mode="random-half", seed=seed))
     f_total = len(fit.independent)
     bounds = [(10, 150), (1, 30), (1, 20), (1, f_total)]
     default = ForestParams(seed=seed)
-    y_fit = _targets(fit, mode)
-    unfitted, X_fit = _unfitted(fit, mode, default)
-    X_val = unfitted.matrix(val.rows)
+    cfg = DistanceConfig.from_dataset(fit)
+    data = forest_input(fit, encode(fit.rows, cfg), mode)
+    encoded_val = encode(val.rows, cfg)
 
     def fitness(vec):
-        params = replace(_params_from_vector(vec, f_total), seed=seed)
-        model = replace(unfitted, params=params, trees=_grow_trees(X_fit, y_fit, mode, params))
-        predicted = model._predict(X_val)
-        if mode == CLASSIFY:
-            sc = score_classifier(model, val, predicted)
+        model = train_forest(data, replace(_params_from_vector(vec, f_total), seed=seed))
+        predicted = model.predict(encoded_val)
+        if model.mode == CLASSIFY:
+            sc = score_classifier(val, predicted)
             quality = (0 if math.isnan(sc.pd) else sc.pd) - (100 if math.isnan(sc.pf) else sc.pf)
         else:
-            quality = score_regressor(model, val, predicted).s
+            quality = score_regressor(val, predicted).s
         return -quality  # DE minimizes
 
     init = [[default.n_trees, 30, default.min_leaf, math.ceil(math.sqrt(f_total))]]

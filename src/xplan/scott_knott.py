@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 import statistics
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 BOOTSTRAPS = 512
 CONFIDENCE = 0.99
@@ -26,11 +26,6 @@ class MethodSamples:
     @property
     def median(self):
         return statistics.median(self.values)
-
-    @property
-    def iqr(self):
-        q1, q3 = quartiles(self.values)
-        return q3 - q1
 
 
 def quartiles(values):
@@ -95,17 +90,7 @@ class RankedReport:
     entries: list
 
     def to_json(self):
-        return [
-            {
-                "rank": e.rank,
-                "method": e.method,
-                "median": e.median,
-                "iqr": e.iqr,
-                "q1": e.q1,
-                "q3": e.q3,
-            }
-            for e in self.entries
-        ]
+        return [asdict(e) for e in self.entries]
 
 
 def scott_knott_rank(samples, rng=None):

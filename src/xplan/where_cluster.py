@@ -31,6 +31,7 @@ class ClusterConfig:
     alpha: int | None = None  # None -> ceil(sqrt(N)), floor 2
 
     def resolve_alpha(self, n):
+        """The split size on n rows: the one alpha rule of WHERE and xtree's tree."""
         a = self.alpha if self.alpha is not None else math.ceil(math.sqrt(n))
         return max(2, a)
 

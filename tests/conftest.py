@@ -12,6 +12,8 @@ from xplan.data_model import (
     Dataset,
     FeatureSpec,
 )
+from xplan.num_core import DistanceConfig, encode
+from xplan.predictor import forest_input, train_forest
 
 
 def _format_cell(cell):
@@ -22,6 +24,14 @@ def _format_cell(cell):
     if isinstance(cell, float):
         return repr(cell)
     return str(cell)
+
+
+def fit_forest(ds, params, mode=None):
+    """A forest on ds, and its predictions for rows encoded as a run
+    encodes them: with the config of ds."""
+    encoded = encode(ds.rows, DistanceConfig.from_dataset(ds))
+    model = train_forest(forest_input(ds, encoded, mode), params)
+    return model, lambda rows: model.predict(encode(rows, encoded.cfg))
 
 
 def save_csv(ds, path):

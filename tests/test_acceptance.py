@@ -25,12 +25,11 @@ from xplan.predictor import (
     gate,
     score_classifier,
     smote,
-    train_forest,
     tune_de,
 )
 from xplan.scott_knott import MethodSamples, a12, scott_knott_rank
 from xplan.where_cluster import ClusterConfig, cluster, project
-from tests.conftest import planted_defect_data, two_blob_data
+from tests.conftest import fit_forest, planted_defect_data, two_blob_data
 
 REPEATS = 40
 FOREST = ForestParams(n_trees=15)
@@ -183,8 +182,8 @@ class TestPredictorSanity:
     def test_single_tree_memorizes_training_data(self):
         for seed in range(3):
             ds = self.separable(seed=seed)
-            model = train_forest(ds, ForestParams(n_trees=1), CLASSIFY)
-            assert model.predict(ds.rows) == ds.dep_values()
+            _, predict = fit_forest(ds, ForestParams(n_trees=1), CLASSIFY)
+            assert predict(ds.rows) == ds.dep_values()
 
     def test_tuned_never_worse_than_default(self):
         from xplan.data_model import SplitSpec, split
@@ -194,7 +193,7 @@ class TestPredictorSanity:
         fit, val = split(ds, SplitSpec(seed=3))
 
         def fitness(p):
-            s = score_classifier(train_forest(fit, p, CLASSIFY), val)
+            s = score_classifier(val, fit_forest(fit, p, CLASSIFY)[1](val.rows))
             pd = 0 if math.isnan(s.pd) else s.pd
             pf = 100 if math.isnan(s.pf) else s.pf
             return pd - pf
@@ -224,14 +223,7 @@ class TestGateFidelity:
         feats = [FeatureSpec("x"), FeatureSpec("bug", role="dependent")]
         ds = Dataset(feats, [[float(i), a] for i, a in enumerate(actual)],
                      MINIMIZE_RATE)
-
-        class Canned:
-            mode = CLASSIFY
-
-            def predict(self, rows):
-                return preds[: len(rows)]
-
-        return score_classifier(Canned(), ds)
+        return score_classifier(ds, preds)
 
     def test_rates_match_hand_arithmetic(self):
         rng = random.Random(0)

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -91,7 +95,46 @@ class TestPlan:
             "plan", "--data", str(workdir / "nope.csv"),
             "--schema", str(workdir / "schema.json"),
         ])
-        assert res.exit_code != 0
+        assert res.exit_code == 1
+
+    def test_click_usage_errors_exit_1(self, workdir, tmp_path):
+        # click's own usage errors: a bad option type, a missing required
+        # option, an option value from --config, an unknown command or option
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"trees": "abc"}))
+        for args in (["plan"] + base_args(workdir, "--trees", "abc"),
+                     ["plan", "--schema", str(workdir / "schema.json")],
+                     ["plan", "--config", str(cfg)] + base_args(workdir)[:4],
+                     ["planz"], ["--bogus"]):
+            res = runner.invoke(main, args)
+            assert res.exit_code == 1, args
+            assert res.exception is None or isinstance(res.exception, SystemExit)
+
+    def test_usage_error_exits_1_as_a_module(self, workdir):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+        proc = subprocess.run([sys.executable, "-m", "xplan.cli", "plan", *base_args(workdir, "--trees", "abc")],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 1
+        assert "Invalid value for '--trees'" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_alpha_below_2_is_usage_error(self, workdir):
+        res = runner.invoke(main, ["plan"] + base_args(workdir, "--alpha", "1"))
+        assert res.exit_code == 1
+        assert stderr_of(res).strip().splitlines() == ["--alpha must be at least 2, not 1"]
+
+    def test_non_utf8_inputs_exit_1(self, workdir, tmp_path):
+        data = tmp_path / "latin1.csv"
+        data.write_bytes((workdir / "data.csv").read_bytes() + b"caf\xe9\n")
+        rules = tmp_path / "rules.txt"
+        rules.write_bytes(b"# caf\xe9\n")
+        for path, args in ((data, ["--data", str(data), "--schema", str(workdir / "schema.json")]),
+                           (rules, base_args(workdir, "--constraints", str(rules)))):
+            res = runner.invoke(main, ["plan"] + args)
+            assert res.exit_code == 1
+            assert res.exception is None or isinstance(res.exception, SystemExit)
+            assert stderr_of(res).strip().splitlines() == [f"{path}: not UTF-8 text"]
 
     @pytest.mark.parametrize("rows", ["999", "x", "0,-1"])
     def test_bad_rows_is_usage_error(self, workdir, rows):
@@ -306,6 +349,23 @@ class TestReport:
     def test_missing_file_exits_1(self, tmp_path):
         res = runner.invoke(main, ["report", str(tmp_path / "nothing.jsonl")])
         assert res.exit_code == 1
+
+    @pytest.mark.parametrize("line, why", [('"ab"', "not a mapping"), ("[1, 2]", "not a mapping"),
+                                           ("{bad", "Expecting property name"),
+                                           ("RATIO", "bad ratio"), ("FEATURES", "bad changed_features")])
+    def test_malformed_record_exits_1(self, tmp_path, line, why):
+        from xplan.evaluation import ExperimentResult
+
+        good = ExperimentResult("cd", 1, 0.5, 4, 2, 3, 1, ["a"], 0.1, 0.2).to_json()
+        line = {"RATIO": json.dumps({**good, "ratio": "x"}),
+                "FEATURES": json.dumps({**good, "changed_features": [1]})}.get(line, line)
+        p = tmp_path / "r.jsonl"
+        p.write_text(json.dumps(good) + "\n" + line + "\n")
+        res = runner.invoke(main, ["report", str(p)])
+        assert res.exit_code == 1
+        assert res.exception is None or isinstance(res.exception, SystemExit)
+        err = stderr_of(res).strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(f"cannot read results: {p}:2: ") and why in err[0]
 
     def test_empty_file_exits_1(self, tmp_path):
         p = tmp_path / "empty.jsonl"

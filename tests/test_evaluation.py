@@ -6,7 +6,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from xplan import evaluation
+from xplan import evaluation, predictor
 from xplan.data_model import MINIMIZE_RATE, Dataset, FeatureSpec, SplitSpec, split
 from xplan.evaluation import (
     ALL_METHODS,
@@ -44,8 +44,8 @@ def experiment(tr, te, method, seed):
 
 def report(tr, test_rows, changed_rows):
     train = encode(tr.rows, DistanceConfig.from_dataset(tr))
-    before = nearest_distances(train, encode(test_rows, train.cfg))
-    return trust_report(train, test_rows, changed_rows, before)
+    test = encode(test_rows, train.cfg)
+    return trust_report(train, test, encode(changed_rows, train.cfg), nearest_distances(train, test))
 
 
 class TestRunExperiment:
@@ -133,10 +133,41 @@ class TestRunRepeats:
                 return _fn(*args, **kwargs)
 
             monkeypatch.setattr(evaluation, name, counted)
+        # encodes and configs made by the harness or the forest (build_tree
+        # and smote make their own, outside these modules)
+        encoded, configs, experiment = [], [], [None]
+
+        def counted_encode(rows, cfg):
+            encoded.append((rows, experiment[0]))
+            return encode(rows, cfg)
+
+        class CountedConfig(DistanceConfig):
+            @classmethod
+            def from_dataset(cls, ds):
+                configs.append(ds)
+                return DistanceConfig.from_dataset(ds)
+
+        def counted_experiment(train, test, method, arts):
+            experiment[0] = (method, arts.seed)
+            try:
+                return run_experiment(train, test, method, arts)
+            finally:
+                experiment[0] = None
+
+        for module in (evaluation, predictor):
+            monkeypatch.setattr(module, "encode", counted_encode)
+            monkeypatch.setattr(module, "DistanceConfig", CountedConfig)
+        monkeypatch.setattr(evaluation, "run_experiment", counted_experiment)
         tr, te = halves
         results = run_repeats(tr, te, ALL_METHODS, PlannerConfig(), n=3, forest_params=PARAMS)
         assert {m: len(rs) for m, rs in results.items()} == {m: 3 for m in ALL_METHODS}
         assert calls == {"train_forest": 3, "cluster": 3, "rank_features": 3, "build_tree": 1}
+        assert configs == [tr]
+        assert sum(rows is tr.rows for rows, _ in encoded) == 1
+        assert sum(rows is te.rows for rows, _ in encoded) == 1
+        # the changed rows: one encode per experiment, for predict and trust alike
+        during = [(exp, len(rows)) for rows, exp in encoded if exp is not None]
+        assert sorted(during) == sorted(((m, s), len(te.rows)) for m in ALL_METHODS for s in (1, 2, 3))
 
     def test_cd_plans_once_per_row_and_rows_encoded_once(self, halves, monkeypatch):
         tr, te = halves

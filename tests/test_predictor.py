@@ -21,6 +21,7 @@ from xplan.predictor import (
     ForestParams,
     RegressorScore,
     differential_evolution,
+    forest_input,
     gate,
     score_classifier,
     score_regressor,
@@ -28,7 +29,9 @@ from xplan.predictor import (
     train_forest,
     tune_de,
 )
+from xplan.num_core import DistanceConfig, Encoded, encode
 from tests import oracle
+from tests.conftest import fit_forest
 
 
 def separable_ds(n=60):
@@ -51,17 +54,6 @@ def runtime_ds(n=240):
     return Dataset(feats, rows, MINIMIZE_VALUE)
 
 
-class FixedModel:
-    """Predicts from a canned list; lets score tests control the confusion."""
-
-    def __init__(self, preds, mode=CLASSIFY):
-        self.preds = preds
-        self.mode = mode
-
-    def predict(self, rows):
-        return self.preds[: len(rows)]
-
-
 def score_ds(actuals):
     feats = [FeatureSpec("x"), FeatureSpec("bug", role="dependent")]
     return Dataset(feats, [[float(i), a] for i, a in enumerate(actuals)], MINIMIZE_RATE)
@@ -70,38 +62,38 @@ def score_ds(actuals):
 class TestForest:
     def test_single_tree_memorizes_separable_data(self):
         ds = separable_ds()
-        model = train_forest(ds, ForestParams(n_trees=1), CLASSIFY)
-        assert model.predict(ds.rows) == ds.dep_values()
+        _, predict = fit_forest(ds, ForestParams(n_trees=1), CLASSIFY)
+        assert predict(ds.rows) == ds.dep_values()
 
     def test_same_seed_same_predictions(self):
         ds = separable_ds()
-        m1 = train_forest(ds, ForestParams(n_trees=10, seed=5), CLASSIFY)
-        m2 = train_forest(ds, ForestParams(n_trees=10, seed=5), CLASSIFY)
-        assert m1.predict(ds.rows) == m2.predict(ds.rows)
+        _, p1 = fit_forest(ds, ForestParams(n_trees=10, seed=5), CLASSIFY)
+        _, p2 = fit_forest(ds, ForestParams(n_trees=10, seed=5), CLASSIFY)
+        assert p1(ds.rows) == p2(ds.rows)
 
     def test_all_true_training_predicts_true(self):
         feats = [FeatureSpec("x"), FeatureSpec("bug", role="dependent")]
         ds = Dataset(feats, [[float(i), True] for i in range(10)], MINIMIZE_RATE)
-        model = train_forest(ds, ForestParams(n_trees=5), CLASSIFY)
-        assert all(model.predict(ds.rows))
+        _, predict = fit_forest(ds, ForestParams(n_trees=5), CLASSIFY)
+        assert all(predict(ds.rows))
 
     def test_regressor_tracks_signal(self):
         ds = runtime_ds()
         tr, te = split(ds, SplitSpec(seed=2))
-        model = train_forest(tr, ForestParams(n_trees=30), REGRESS)
-        assert score_regressor(model, te).s > 0.9
+        _, predict = fit_forest(tr, ForestParams(n_trees=30), REGRESS)
+        assert score_regressor(te, predict(te.rows)).s > 0.9
 
     def test_mode_type_checks(self):
         with pytest.raises(ValueError):
-            train_forest(runtime_ds(), ForestParams(n_trees=2), CLASSIFY)
+            fit_forest(runtime_ds(), ForestParams(n_trees=2), CLASSIFY)
         with pytest.raises(ValueError):
-            train_forest(separable_ds(), ForestParams(n_trees=2), REGRESS)
+            fit_forest(separable_ds(), ForestParams(n_trees=2), REGRESS)
 
     def test_empty_training_rejected(self):
         feats = [FeatureSpec("x"), FeatureSpec("bug", role="dependent")]
         ds = Dataset(feats, [], MINIMIZE_RATE)
         with pytest.raises(ValueError):
-            train_forest(ds, ForestParams(n_trees=1), CLASSIFY)
+            fit_forest(ds, ForestParams(n_trees=1), CLASSIFY)
 
 
 def nested(trees, node):
@@ -117,9 +109,10 @@ def assert_matches_oracle(X, y, mode, params, queries):
     trees = predictor._grow_trees(X, y, mode, params)
     ref = oracle.grow_forest(X, y, mode, params)
     assert [nested(trees, t) for t in range(params.n_trees)] == ref
-    model = predictor.ForestModel(mode, params, None, None, None, trees)
+    f_total = X.shape[1]  # no gap to fill: the raw matrix is what the trees read
+    model = predictor.ForestModel(mode, params, np.zeros(f_total), np.full(f_total, np.nan), trees)
     for Q in (X, queries):
-        assert model._predict(Q) == oracle.predict(ref, Q, mode)
+        assert model.predict(Encoded(None, Q.T)) == oracle.predict(ref, Q, mode)
 
 
 @st.composite
@@ -185,11 +178,13 @@ class TestLockstepForest:
 
     def test_planted_scale_forest(self, planted):
         train, test = split(planted, SplitSpec(seed=3))
-        model = train_forest(train, ForestParams(n_trees=20, seed=3))
-        X, y = model.matrix(train.rows), np.array([float(v) for v in train.dep_values()])
+        cfg = DistanceConfig.from_dataset(train)
+        _, y, X, fill, unseen = data = forest_input(train, encode(train.rows, cfg))
+        model = train_forest(data, ForestParams(n_trees=20, seed=3))
         ref = oracle.grow_forest(X, y, CLASSIFY, model.params)
         assert [nested(model.trees, t) for t in range(20)] == ref
-        assert model.predict(test.rows) == oracle.predict(ref, model.matrix(test.rows), CLASSIFY)
+        encoded = encode(test.rows, cfg)
+        assert model.predict(encoded) == oracle.predict(ref, predictor._filled(encoded, fill, unseen), CLASSIFY)
 
 
 @st.composite
@@ -221,56 +216,66 @@ def encoding_cases(draw):
 
 class TestSingleEncoding:
     """The forest reads ``num_core.encode``'s columns with the gaps filled,
-    cell for cell as the reference ``oracle.Encoder`` reads the rows."""
+    cell for cell as the reference ``oracle.Encoder`` reads the rows. As in
+    a run, the probes (the test rows) are encoded with the training rows'
+    config before the forest's input is built, so their unseen symbols take
+    codes first; those codes must still read as the fill."""
 
     @settings(max_examples=300, deadline=None)
     @given(encoding_cases())
     def test_forest_matrix_equals_reference_encoder(self, case):
         train, probes = case
         ref = oracle.Encoder(train)
-        model, X = predictor._unfitted(train, CLASSIFY, ForestParams())
+        cfg = DistanceConfig.from_dataset(train)
+        encoded = encode(train.rows, cfg)
+        early = encode(probes, cfg)
+        _, _, X, fill, unseen = forest_input(train, encoded, CLASSIFY)
         assert np.array_equal(X, ref.transform(train.rows))
-        assert np.array_equal(model.matrix(probes), ref.transform(probes))
+        assert np.array_equal(predictor._filled(early, fill, unseen), ref.transform(probes))
         # the probes' new symbols take codes of their own, read as the fill
-        assert np.array_equal(model.matrix(train.rows + probes), ref.transform(train.rows + probes))
+        both = encode(train.rows + probes, cfg)
+        assert np.array_equal(predictor._filled(both, fill, unseen), ref.transform(train.rows + probes))
 
     def test_codes_follow_sorted_symbols_not_first_seen(self):
         feats = [FeatureSpec("os", kind="discrete"), FeatureSpec("bug", role="dependent")]
         train = Dataset(feats, [["linux", True], ["bsd", False], ["mac", True], [None, False]],
                         MINIMIZE_RATE)
-        model, X = predictor._unfitted(train, CLASSIFY, ForestParams())
+        cfg = DistanceConfig.from_dataset(train)
+        encoded = encode(train.rows, cfg)
+        probes = encode([["aix", True], ["mac", False]], cfg)  # "aix" takes code 3 here
+        _, _, X, fill, unseen = forest_input(train, encoded, CLASSIFY)
         assert X[:, 0].tolist() == [1.0, 0.0, 2.0, 1.0]  # the gap takes the median code
-        assert model.matrix([["aix", True], ["mac", False]])[:, 0].tolist() == [1.0, 2.0]
+        assert predictor._filled(probes, fill, unseen)[:, 0].tolist() == [1.0, 2.0]
 
 
 class TestScores:
     def test_perfect_predictions(self):
         ds = score_ds([True, True, False, False])
-        sc = score_classifier(FixedModel([True, True, False, False]), ds)
+        sc = score_classifier(ds, [True, True, False, False])
         assert sc.pd == 100 and sc.pf == 0
 
     def test_confusion_arithmetic(self):
         # TP=3 FN=1 FP=2 TN=4
         actual = [True] * 4 + [False] * 6
         preds = [True, True, True, False] + [True, True] + [False] * 4
-        sc = score_classifier(FixedModel(preds), score_ds(actual))
+        sc = score_classifier(score_ds(actual), preds)
         assert sc.pd == pytest.approx(75.0)
         assert sc.pf == pytest.approx(100 * 2 / 6)
 
     def test_always_true_predictor(self):
         ds = score_ds([True, False, True, False])
-        sc = score_classifier(FixedModel([True] * 4), ds)
+        sc = score_classifier(ds, [True] * 4)
         assert sc.pd == 100 and sc.pf == 100
 
     def test_one_class_test_data_gives_nan(self):
         ds = score_ds([True, True])
-        sc = score_classifier(FixedModel([True, True]), ds)
+        sc = score_classifier(ds, [True, True])
         assert math.isnan(sc.pf) and sc.pd == 100
 
     def test_regressor_formula(self):
         feats = [FeatureSpec("x"), FeatureSpec("rt", role="dependent")]
         ds = Dataset(feats, [[0.0, 100.0], [1.0, 10.0]], MINIMIZE_VALUE)
-        sc = score_regressor(FixedModel([50.0, 10.0], REGRESS), ds)
+        sc = score_regressor(ds, [50.0, 10.0])
         assert sc.per_item[0] == pytest.approx(0.5)
         assert sc.per_item[1] == pytest.approx(1.0)
         assert sc.s == pytest.approx(0.75)
@@ -279,7 +284,7 @@ class TestScores:
         feats = [FeatureSpec("x"), FeatureSpec("rt", role="dependent")]
         ds = Dataset(feats, [[0.0, 0.0], [1.0, 10.0]], MINIMIZE_VALUE)
         with pytest.warns(UserWarning):
-            sc = score_regressor(FixedModel([5.0, 10.0], REGRESS), ds)
+            sc = score_regressor(ds, [5.0, 10.0])
         assert sc.s == pytest.approx(1.0)
 
 
@@ -377,8 +382,7 @@ class TestTuneDe:
 
         fit, val = split(ds, SplitSpec(seed=3))
         def fitness(p):
-            m = train_forest(fit, p, CLASSIFY)
-            s = sc(m, val)
+            s = sc(val, fit_forest(fit, p, CLASSIFY)[1](val.rows))
             return (0 if math.isnan(s.pd) else s.pd) - (100 if math.isnan(s.pf) else s.pf)
 
         default = ForestParams(max_depth=30, features_per_split=2, seed=3)
