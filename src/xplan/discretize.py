@@ -2,9 +2,11 @@
 
 Numeric columns are cut recursively at the midpoint that most reduces
 label entropy; a cut survives only if its information gain beats the MDL
-acceptance threshold. Feature ranking scores each column by the expected
-label entropy over its bins (lower = more informative) and keeps the top
-beta fraction.
+acceptance threshold. Each level scores all its cuts at once from
+cumulative label counts, with every entropy summed term by term exactly
+as counting the slice afresh would (see ``_level_cuts``). Feature ranking
+scores each column by the expected label entropy over its bins (lower =
+more informative) and keeps the top beta fraction.
 """
 
 from __future__ import annotations
@@ -14,8 +16,13 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 
+import numpy as np
+
 from xplan.data_model import INDEPENDENT, NUMERIC
-from xplan.num_core import entropy
+from xplan.num_core import entropy, key_dtype
+
+
+_SCAN_CELLS = 1 << 12  # (cut, label) cells per block of a level's cut scan
 
 
 @dataclass
@@ -61,43 +68,78 @@ def _mdl_accepts(labels, left, right):
 
 
 def _find_cuts(pairs):
-    """Recursive cut search over (value, label) pairs sorted by value: one
-    scan per level moves each label from the right-hand class counts to the
-    left-hand ones. Each side sums its entropy terms in the order in which
-    labels first appear on it, as ``Counter`` over the slice does, so every
-    entropy and cut equals counting afresh."""
-    n = len(pairs)
-    labels = [lab for _, lab in pairs]
-    right = Counter(labels)
-    if len(right) < 2:
+    """Recursive cut search over (value, label) pairs sorted by value; see
+    ``_level_cuts``."""
+    index = {}
+    codes = np.array([index.setdefault(lab, len(index)) for _, lab in pairs], dtype=np.int64)
+    values = [v for v, _ in pairs]
+    return _level_cuts(values, codes, np.array([a != b for a, b in zip(values, values[1:])], dtype=bool))
+
+
+def _level_cuts(values, codes, distinct):
+    """The cuts of one level and, below it, of both sides of its best cut.
+    ``codes`` are the labels as integers; ``distinct[i - 1]`` tells whether
+    values i - 1 and i differ, so that a cut may fall between them.
+
+    One pass over the level scores every cut, in blocks of at most
+    ``_SCAN_CELLS`` (cut, label) cells, from cumulative one-hot label
+    counts. Each side sums its entropy terms in the order in which labels
+    first appear on it, as ``Counter`` over the slice does: the left side
+    in the level's order, the right side sorted by each label's next
+    position. Every p * log2(p) takes ``math.log2``. So every entropy and
+    cut equals counting afresh."""
+    n = len(codes)
+    seen, first = np.unique(codes, return_index=True)
+    k = len(seen)
+    if k < 2:
         return []
-    # following[j]: next position after j with the same label (n if none);
-    # order: (first position on the right side, label), ascending
-    following, first = [n] * n, {}
-    for j in range(n - 1, -1, -1):
-        following[j], first[labels[j]] = first.get(labels[j], n), j
-    order = sorted((j, lab) for lab, j in first.items())
-    left = {}
-    best = None
-    for i in range(1, n):
-        lab = labels[i - 1]
-        left[lab] = left.get(lab, 0) + 1
-        right[lab] -= 1
-        order.pop(0)  # position i - 1 was the first on the right
-        if following[i - 1] < n:
-            bisect.insort(order, (following[i - 1], lab))
-        if pairs[i][0] == pairs[i - 1][0]:
-            continue
-        e = (i / n) * entropy(left.values()) + ((n - i) / n) * entropy([right[k] for _, k in order])
-        if best is None or e < best[0]:
-            best = (e, i)
-    if best is None:
+    order = np.empty(seen[-1] + 1, np.int64)  # labels renumbered by first appearance
+    order[seen[np.argsort(first)]] = np.arange(k)
+    codes, labels = order[codes], np.arange(k)
+    total = np.bincount(codes, minlength=k)
+    right = np.zeros(k, np.int64)  # label counts at and after the block's end ...
+    after = np.full(k, n)          # ... and each label's first position there (n: none)
+    scanned = []
+    step = max(1, _SCAN_CELLS // k)
+    for end in range(n, 1, -step):  # blocks of cuts i (before position i), right to left
+        i = np.arange(max(1, end - step), end)
+        hot = codes[i, None] == labels
+        r_counts = np.cumsum(hot[::-1], axis=0)[::-1] + right
+        nxt = np.minimum(np.minimum.accumulate(np.where(hot, i[:, None], n)[::-1], axis=0)[::-1], after)
+        right, after = r_counts[0], nxt[0]
+        between = distinct[i - 1]  # cuts that fall between distinct values
+        if between.any():
+            i, r_counts, nxt = i[between], r_counts[between], nxt[between]
+            l_counts = total - r_counts
+            # unique keys, so a plain sort orders each cut's labels by next position
+            keys = (nxt * k + labels).astype(key_dtype(n * k + k))
+            r_counts = np.take_along_axis(r_counts, np.sort(keys, axis=1) % k, axis=1)
+            terms = _plogp(np.stack([l_counts, r_counts]), np.stack([i, n - i])[:, :, None])
+            ent = np.zeros((2, len(i)))
+            for column in terms.transpose(2, 0, 1):
+                ent -= column
+            scanned.append((i, (i / n) * ent[0] + ((n - i) / n) * ent[1]))
+    if not scanned:
         return []
-    _, i = best
-    if not _mdl_accepts(labels, labels[:i], labels[i:]):
+    i, e = (np.concatenate(a[::-1]) for a in zip(*scanned))
+    i = int(i[np.argmin(e)])  # the first best cut
+    level = codes.tolist()
+    if not _mdl_accepts(level, level[:i], level[i:]):
         return []
-    cut = (pairs[i - 1][0] + pairs[i][0]) / 2
-    return _find_cuts(pairs[:i]) + [cut] + _find_cuts(pairs[i:])
+    cut = (values[i - 1] + values[i]) / 2
+    return (_level_cuts(values[:i], codes[:i], distinct[:i - 1]) + [cut]
+            + _level_cuts(values[i:], codes[i:], distinct[i:]))
+
+
+def _plogp(counts, totals):
+    """p * log2(p) of each p = count / total, 0.0 where the count is 0;
+    ``math.log2`` runs once per distinct p."""
+    p = counts / totals
+    distinct, inverse = np.unique(p, return_inverse=True)
+    logs = np.zeros(len(distinct))
+    some = int(distinct[0] == 0)  # a zero count sorts first
+    logs[some:] = np.fromiter(map(math.log2, distinct[some:].tolist()), float, len(distinct) - some)
+    return p * logs[inverse.reshape(p.shape)]
 
 
 def mdl_discretize(column, labels, feature=""):
@@ -108,8 +150,10 @@ def mdl_discretize(column, labels, feature=""):
     cuts = sorted(_find_cuts(pairs))
     edges = [-math.inf] + cuts + [math.inf]
     bins = [Bin(feature, lo, hi) for lo, hi in zip(edges, edges[1:])]
-    for b in bins:
-        inside = [lab for v, lab in pairs if b.contains(v)]
+    values = [v for v, _ in pairs]
+    ends = [0] + [bisect.bisect_right(values, cut) for cut in cuts] + [len(pairs)]
+    for b, start, end in zip(bins, ends, ends[1:]):  # the sorted pairs that b contains
+        inside = [lab for _, lab in pairs[start:end]]
         b.count = len(inside)
         b.entropy = _label_entropy(inside) if inside else 0.0
     return bins

@@ -1,5 +1,5 @@
-"""Shared numeric primitives: column variability, the row encoding and
-row distance.
+"""Shared numeric primitives: column variability, the row encoding, row
+distance and the dtype of integer sort keys.
 
 Variability is population standard deviation for numeric columns and
 base-2 entropy for discrete ones. ``encode`` is the one row encoding,
@@ -33,6 +33,13 @@ def entropy(counts):
             p = c / total
             e -= p * math.log2(p)
     return e
+
+
+def key_dtype(top):
+    """The unsigned dtype of integer sort keys up to ``top``: 32 bits at
+    least, as each further sort kernel numpy runs adds its code to the
+    process's resident memory."""
+    return np.promote_types(np.min_scalar_type(top), np.uint32)
 
 
 def variability(column, kind):
@@ -88,13 +95,17 @@ class Encoded:
     @cached_property
     def unit(self):
         """What ``distance`` compares: ``cols`` with numerics mapped into
-        [0,1] by the training bounds, clamped (a constant column is 0)."""
+        [0,1] by the training bounds, clamped (a constant column is 0). A
+        span that overflows the float range is taken over halved operands."""
         unit = self.cols.copy()
         for col, name, kind in zip(unit, self.cfg.names, self.cfg.kinds):
             if kind == NUMERIC:
                 lo, hi = self.cfg.bounds.get(name, (0.0, 0.0))
-                col[:] = (np.clip((col - lo) / (hi - lo), 0.0, 1.0) if hi > lo
-                          else np.where(np.isnan(col), col, 0.0))
+                if hi > lo and math.isinf(hi - lo):
+                    col[:] = np.clip((col / 2 - lo / 2) / (hi / 2 - lo / 2), 0.0, 1.0)
+                else:
+                    col[:] = (np.clip((col - lo) / (hi - lo), 0.0, 1.0) if hi > lo
+                              else np.where(np.isnan(col), col, 0.0))
         return unit
 
     def take(self, idx):

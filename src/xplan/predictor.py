@@ -10,10 +10,15 @@ column's training median. The forest encodes no rows itself: it reads
 tables encoded with the training rows' config (see ``forest_input``).
 
 Tree t draws its bootstrap sample, then one feature subset per splittable
-node in depth-first preorder, from its own ``default_rng((seed, t))``. The
-trees grow in lockstep, the next node of each per step, with exact splits;
-level-wise growth (another draw order) or histogram splits (as in LightGBM:
-binned thresholds) would change the forest.
+node in depth-first preorder, from its own ``default_rng((seed, t))``: the
+values of one ``rng.choice(f, k, replace=False)``, which ``_FeatureDraws``
+replays for many trees and nodes at once from the generators' raw outputs.
+The trees grow in lockstep, the next node of each per step, with exact
+splits: each step is array work over all trees (their stacks, the split
+search over rows sorted by dense value ranks, the partitions), with no
+Python loop over nodes. Level-wise growth (another draw order) or
+histogram splits (as in LightGBM: binned thresholds) would change the
+forest.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ from xplan.data_model import (
     SplitSpec,
     split,
 )
-from xplan.num_core import DistanceConfig, distance, encode
+from xplan.num_core import DistanceConfig, distance, encode, key_dtype
 
 CLASSIFY = "classify"
 REGRESS = "regress"
@@ -65,24 +70,42 @@ class RegressorScore:
     per_item: list = None
 
 
-_CELL_CAP = 4096  # padded cells per batched search or walk: bounds temporaries
+_CELL_CAP = 4096  # padded cells per batched search, walk or leaf sum: bounds temporaries
 
 
-def _best_splits(X, y, idx, inside, feats, size, mode, min_leaf):
-    """(found, feature, threshold, target sum) of each node's best split.
+def _rank_keys(X):
+    """Each cell's dense rank among its column's distinct values, in the
+    smallest unsigned dtype that also holds ``pad``, the rank that sorts
+    after every value; and per column the values by rank (NaN at ``pad``
+    and beyond)."""
+    columns = [np.unique(col, return_inverse=True) for col in X.T]
+    pad = max((len(v) for v, _ in columns), default=0)
+    keys = np.empty(X.shape, np.min_scalar_type(pad))
+    values = np.full((X.shape[1], pad + 1), np.nan)
+    for j, (v, inverse) in enumerate(columns):
+        keys[:, j], values[j, :len(v)] = inverse, v
+    return keys, values
+
+
+def _best_splits(keys, y, idx, inside, feats, size, mode, min_leaf, values):
+    """(found, feature, threshold) of each node's best split.
     Line i of ``idx`` holds node i's rows, padded after ``size[i]`` cells.
-    Padding sorts last and adds 0 to the cumsums, so every prefix sum,
-    impurity, tie-break and midpoint equals a search over the node alone."""
+    Each line sorts by (rank, position) keys: unique, so any sort gives the
+    order of a stable sort by value. Padding sorts last and adds 0 to the
+    cumsums, so every prefix sum, impurity, tie-break and midpoint equals a
+    search over the node alone."""
     (n_nodes, k), width = feats.shape, idx.shape[1]
-    vals = np.where(inside[:, None], X[idx[:, None], feats[:, :, None]], np.nan)
-    vals = vals.reshape(n_nodes * k, width)
-    order = np.argsort(vals, axis=1, kind="stable")
+    pad, shift = values.shape[1] - 1, (width - 1).bit_length()
+    dtype = key_dtype((pad << shift) | (width - 1))
+    ranks = np.where(inside[:, None], keys[idx[:, None], feats[:, :, None]], pad)
+    sorted_keys = np.sort((ranks.astype(dtype) << shift | np.arange(width, dtype=dtype))
+                          .reshape(n_nodes * k, width), axis=1)
+    order, ranks = sorted_keys & (1 << shift) - 1, sorted_keys >> shift
     line = np.arange(n_nodes * k)
-    xs = vals[line[:, None], order]
     ys = np.where(inside, y[idx], 0.0)[np.arange(n_nodes).repeat(k)[:, None], order]
     csum = np.cumsum(ys, axis=1)
     s2 = np.cumsum(ys * ys, axis=1) if mode == REGRESS else None
-    del vals, order, ys  # freed early: these temporaries set the peak memory of a fit
+    del sorted_keys, order, ys  # freed early: these temporaries set the peak memory of a fit
     n = size.repeat(k)[:, None]
     pos = np.arange(1, width)  # cut before sorted position pos
     nl = pos.astype(float)
@@ -102,14 +125,14 @@ def _best_splits(X, y, idx, inside, feats, size, mode, min_leaf):
             s2r = s2[line, n[:, 0] - 1][:, None] - s2l
             imp = (s2l - l1 * l1 / nl) + (s2r - r1 * r1 / nr)  # total SSE
     # candidate boundaries between distinct values, honoring min_leaf
-    invalid = (xs[:, 1:] == xs[:, :-1]) | (pos < min_leaf) | (pos > n - min_leaf) | (pos >= n)
+    invalid = (ranks[:, 1:] == ranks[:, :-1]) | (pos < min_leaf) | (pos > n - min_leaf) | (pos >= n)
     imp[invalid] = np.inf
     cut = np.argmin(imp, axis=1)
     j = np.argmin(imp[line, cut].reshape(n_nodes, k), axis=1)
     best = np.arange(n_nodes) * k + j  # first best feature in drawn order
-    p = cut[best] + 1
-    return (~invalid[best].all(axis=1), feats[np.arange(n_nodes), j],
-            (xs[best, p - 1] + xs[best, p]) / 2, csum[best, size - 1])
+    p, feat = cut[best] + 1, feats[np.arange(n_nodes), j]
+    return (~invalid[best].all(axis=1), feat,
+            (values[feat, ranks[best, p - 1]] + values[feat, ranks[best, p]]) / 2)
 
 
 def _side_stats(y_rows, side):
@@ -145,80 +168,193 @@ class Trees:
             a.resize(capacity, refcheck=False)
 
 
+class _FeatureDraws:
+    """What successive ``rng.choice(f, k, replace=False)`` calls return on
+    each tree's generator, drawn for many trees and calls at once.
+
+    numpy's ``choice`` reads bounded integers (Lemire's method) off the
+    generator's 32-bit outputs: the low half of each 64-bit PCG64 word,
+    then its high half, which the generator's state keeps (``has_uint32``,
+    ``uinteger``) until the next read. It runs Floyd's sampling loop, a
+    drawn value already taken giving way to j, and then a Fisher-Yates
+    shuffle of the sample; for f > 10000 and k > f // 50 it instead runs
+    the last k steps of a Fisher-Yates shuffle of all f indices. Both are
+    replayed here on each tree's buffered outputs, ``calls`` subsets per
+    tree at a time."""
+
+    def __init__(self, generators, f, k):
+        self.gens, self.f, self.k = generators, f, k
+        self.tail = f > 10000 and k > f // 50
+        # the shuffle's positions, and the inclusive bound of each integer
+        # one call draws, in draw order; Floyd's j = 0 draws nothing, as its
+        # one value is 0
+        self.swaps = np.arange(f - 1, max(f - k, 1) - 1, -1) if self.tail else np.arange(k - 1, 0, -1)
+        bounds = self.swaps if self.tail else np.r_[np.arange(max(f - k, 1), f), self.swaps]
+        self.per_call, self.calls = len(bounds), max(1, 64 // max(1, len(bounds)))
+        self.span = np.tile(bounds.astype(np.uint64) + 1, self.calls)
+        self.limit = np.uint64(2**32) % self.span  # Lemire's rejection threshold
+        n_trees = len(generators)
+        self.buf = np.zeros((n_trees, 2 * len(self.span) + 2), np.uint32)
+        self.at = np.zeros(n_trees, int)      # first unread output per tree
+        self.filled = np.zeros(n_trees, int)  # end of the buffered outputs per tree
+        for t, g in enumerate(generators):
+            state = g.state
+            if state["has_uint32"]:
+                self.buf[t, 0], self.filled[t] = state["uinteger"], 1
+        self.subsets = np.zeros((n_trees, self.calls, k), np.int64)
+        self.used = np.full(n_trees, self.calls)  # subsets taken of ``subsets``
+
+    def next(self, trees):
+        """The next subset of each of ``trees``, as a (len(trees), k) array."""
+        spent = trees[self.used[trees] == self.calls]
+        if len(spent):
+            self.subsets[spent] = self._choices(spent)
+            self.used[spent] = 0
+        picks = self.subsets[trees, self.used[trees]]
+        self.used[trees] += 1
+        return picks
+
+    def _choices(self, trees):
+        """The next ``calls`` subsets of each tree, (len(trees), calls, k)."""
+        f, k, lines = self.f, self.k, len(trees) * self.calls
+        # one line per call: Floyd's integers (none for j = 0), then the shuffle's
+        u = self._bounded(trees).reshape(lines, self.per_call)
+        if self.tail:
+            picks = np.tile(np.arange(f), (lines, 1))
+        else:
+            picks = np.empty((lines, k), np.int64)
+            for d, j in enumerate(range(f - k, f)):
+                v = u[:, d - (f == k)] if j else np.zeros(lines, np.int64)
+                picks[:, d] = np.where((picks[:, :d] == v[:, None]).any(axis=1), j, v)
+        line = np.arange(lines)
+        for i, j in zip(self.swaps.tolist(), u[:, self.per_call - len(self.swaps):].T):
+            swap = picks[line, j]
+            picks[line, j] = picks[:, i]
+            picks[:, i] = swap
+        return picks[:, picks.shape[1] - k:].reshape(len(trees), self.calls, k)
+
+    def _bounded(self, trees):
+        """The integers of each tree's next ``calls`` subsets, each in [0,
+        its bound]. Lemire's method rejects an output whose product with
+        bound + 1 has its low word below ``limit`` and reads the next one."""
+        if not len(self.span):
+            return np.empty((len(trees), 0), np.int64)
+        skip = np.zeros((len(trees), len(self.span)), int)  # outputs rejected before each draw
+        while True:  # each pass moves each tree's first rejected draw one output on
+            self._reserve(trees, len(self.span) + skip[:, -1])
+            at = self.at[trees][:, None] + np.arange(len(self.span)) + skip
+            m = self.buf[trees[:, None], at].astype(np.uint64) * self.span
+            rejected = (m & np.uint64(0xFFFFFFFF)) < self.limit
+            if not rejected.any():
+                break
+            hit = rejected.any(axis=1)
+            skip[hit] += np.arange(len(self.span)) >= rejected[hit].argmax(axis=1)[:, None]
+        self.at[trees] = at[:, -1] + 1
+        return (m >> np.uint64(32)).astype(np.int64)
+
+    def _reserve(self, trees, count):
+        """Buffer at least ``count`` unread outputs of each of ``trees``."""
+        short = trees[self.filled[trees] - self.at[trees] < count]
+        if not len(short):
+            return
+        while count.max() >= self.buf.shape[1]:
+            self.buf = np.concatenate([self.buf, np.zeros_like(self.buf)], axis=1)
+        for t in short.tolist():
+            lo = self.filled[t] - self.at[t]
+            self.buf[t, :lo] = self.buf[t, self.at[t]:self.filled[t]]
+            words = self.gens[t].random_raw((self.buf.shape[1] - lo) // 2)
+            hi = lo + 2 * len(words)
+            self.buf[t, lo:hi:2], self.buf[t, lo + 1:hi:2] = words & 0xFFFFFFFF, words >> 32
+            self.at[t], self.filled[t] = 0, hi
+
+
 def _grow_trees(X, y, mode, params):
     """Grow all trees on the encoded matrix ``X`` in lockstep (see the module
     docstring). Tree t's sample is one slice of ``rows``, reordered in place
-    so that each node owns a part of it, in parent order."""
+    so that each node owns a part of it, in parent order; each tree's stack
+    of nodes to grow is one line of ``stack``, ``top[t]`` entries deep. A
+    regression leaf's slice of ``rows`` stays as it is, so the leaf means
+    are taken once all trees are grown."""
     n, f_total = X.shape
     n_trees, min_leaf = params.n_trees, params.min_leaf
     k = min(params.features_per_split or math.ceil(math.sqrt(f_total)), f_total)
     min_size = max(2, 2 * min_leaf) if k else n + 1  # no feature, no split
     # unlimited depth stays below n: a split leaves rows on both sides
     max_depth = n if params.max_depth is None else params.max_depth
-    rng = np.random.default_rng()  # runs each tree's stream from its stored state
-    rows, states = np.empty(n_trees * n, np.int32), []
+    rows, generators = np.empty(n_trees * n, np.int32), []
     total, pure = np.zeros(n_trees), np.zeros(n_trees, bool)  # of each root
     for t in range(n_trees):
         tree_rng = np.random.default_rng((params.seed, t))
         sample = rows[t * n:(t + 1) * n]
         sample[:] = tree_rng.integers(0, n, n) if n_trees > 1 else np.arange(n)
-        states.append(tree_rng.bit_generator.state)
+        generators.append(tree_rng.bit_generator)
         total[t], pure[t] = y[sample].sum(), np.all(y[sample] == y[sample[0]])
+    draws = _FeatureDraws(generators, f_total, k)
+    keys, values = _rank_keys(X)
     trees = Trees(*(np.zeros(0, dtype) for dtype in (np.int32, float, np.int32, np.int32, float)))
-    stacks = [[] for _ in range(n_trees)]
+    stack, top = np.zeros((4, n_trees, 8), int), np.zeros(n_trees, int)  # node, start, size, depth
+    leaves = []  # regression leaves: node, first cell in rows, size
 
     def settle(node, tree, start, size, depth, total, pure):
-        """Give the nodes that are leaves their value; stack the others."""
+        """Give the nodes that are leaves their value; stack the others.
+        Each tree is named at most once."""
+        nonlocal stack
         leaf = pure | (size < min_size) | (depth >= max_depth)
         if mode == CLASSIFY:
             trees.value[node[leaf]] = np.where(total[leaf] / size[leaf] >= 0.5, 1.0, 0.0)
         else:
-            for i, t, s, m in zip(*(a[leaf].tolist() for a in (node, tree, start, size))):
-                trees.value[i] = float(np.mean(y[rows[t * n + s:t * n + s + m]]))
-        for entry in zip(*(a[~leaf].tolist() for a in (node, tree, start, size, depth))):
-            stacks[entry[1]].append(entry)
+            leaves.append((node[leaf], (tree * n + start)[leaf], size[leaf]))
+        keep = ~leaf
+        tree = tree[keep]
+        if len(tree) and top[tree].max() == stack.shape[2]:
+            stack = np.concatenate([stack, np.zeros_like(stack)], axis=2)
+        stack[:, tree, top[tree]] = node[keep], start[keep], size[keep], depth[keep]
+        top[tree] += 1
 
     zero = np.zeros(n_trees, int)
     settle(trees.add(n_trees), np.arange(n_trees), zero, zero + n, zero, total, pure)
-    while batch := [stack.pop() for stack in stacks if stack]:
-        batch.sort(key=lambda entry: -entry[3])  # by size, for chunks of similar sizes
-        node, tree, start, size, depth = map(np.array, zip(*batch))
-        feats = np.empty((len(batch), k), int)
-        for i, t in enumerate(tree.tolist()):
-            rng.bit_generator.state = states[t]
-            feats[i] = rng.choice(f_total, size=k, replace=False)
-            states[t] = rng.bit_generator.state
-        lo = 0
-        while lo < len(batch):  # chunks under the cell cap
+    while len(tree := np.flatnonzero(top)):  # one step: the next node of each tree
+        top[tree] -= 1
+        node, start, size, depth = stack[:, tree, top[tree]]
+        by_size = np.argsort(-size, kind="stable")  # for chunks of similar sizes
+        node, tree, start, size, depth = (a[by_size] for a in (node, tree, start, size, depth))
+        feats = draws.next(tree)
+        sides, lo = [], 0
+        while lo < len(tree):  # chunks under the cell cap
             width = int(size[lo])
-            c = np.arange(lo, min(lo + max(1, _CELL_CAP // (k * width)), len(batch)))
+            c = np.arange(lo, min(lo + max(1, _CELL_CAP // (k * width)), len(tree)))
             lo += len(c)
             at = np.arange(width)
             inside = at < size[c, None]
             cell = np.where(inside, (tree[c] * n + start[c])[:, None] + at, 0)
             idx = rows[cell]
-            found, feat, thr, sums = _best_splits(X, y, idx, inside, feats[c], size[c], mode, min_leaf)
-            done = c[~found]
-            settle(node[done], tree[done], start[done], size[done], depth[done], sums[~found], True)
-            c, idx, inside, cell, feat, thr = (a[found] for a in (c, idx, inside, cell, feat, thr))
-            go = (X[idx, feat[:, None]] <= thr[:, None]) & inside
+            found, feat, thr = _best_splits(keys, y, idx, inside, feats[c], size[c], mode, min_leaf, values)
+            go = (X[idx, feat[:, None]] <= thr[:, None]) & inside & found[:, None]
             right = inside & ~go
-            # stable partition of each node's slice: left child first, both in parent order
+            # stable partition of each node's slice: left child first, both in
+            # parent order (a node left unsplit keeps its order)
             to_left = np.cumsum(go, axis=1)
             n_left = to_left[:, -1]
             dest = np.where(go, to_left, n_left[:, None] + np.cumsum(right, axis=1)) - 1
             rows[(cell[:, :1] + dest)[inside]] = idx[inside]
             y_rows = y[idx]
-            l_total, l_pure = _side_stats(y_rows, go)
-            r_total, r_pure = _side_stats(y_rows, right)
-            parent = node[c]
-            trees.feature[parent], trees.threshold[parent] = feat, thr
-            trees.left[parent], trees.right[parent] = trees.add(len(c)), trees.add(len(c))
-            trees.depth = max(trees.depth, int(depth[c].max(initial=-1)) + 1)
-            # right before left on each stack, so the left subtree is grown first
-            settle(trees.right[parent], tree[c], start[c] + n_left, size[c] - n_left, depth[c] + 1,
-                   r_total, r_pure)
-            settle(trees.left[parent], tree[c], start[c], n_left, depth[c] + 1, l_total, l_pure)
+            sides.append((found, n_left, *_side_stats(y_rows, go), *_side_stats(y_rows, right)))
+            parent = node[c[found]]
+            trees.feature[parent], trees.threshold[parent] = feat[found], thr[found]
+            trees.left[parent], trees.right[parent] = trees.add(len(parent)), trees.add(len(parent))
+        found, n_left, l_total, l_pure, r_total, r_pure = (np.concatenate(a) for a in zip(*sides))
+        trees.depth = max(trees.depth, int(depth[found].max(initial=-1)) + 1)
+        # right before left on each stack, so the left subtree is grown first;
+        # a node left unsplit is its own right child, a leaf of all its rows
+        settle(trees.right[node], tree, start + n_left, size - n_left, depth + 1, r_total, r_pure | ~found)
+        settle(trees.left[node[found]], tree[found], start[found], n_left[found], depth[found] + 1,
+               l_total[found], l_pure[found])
+    if mode == REGRESS:  # each leaf's mean: a row sum sums pairwise, as np.mean does
+        node, first, size = (np.concatenate(a) for a in zip(*leaves))
+        for m in np.unique(size).tolist():
+            group, step = np.flatnonzero(size == m), max(1, _CELL_CAP // m)
+            for g in (group[lo:lo + step] for lo in range(0, len(group), step)):
+                trees.value[node[g]] = y[rows[first[g, None] + np.arange(m)]].sum(axis=1) / m
     trees.resize(trees.size)
     return trees
 
@@ -417,6 +553,9 @@ def tune_de(train, budget=200, rng=None, mode=None, seed=1):
     if budget < pop_size:
         raise ValueError(f"budget {budget} below population size {pop_size}")
     rng = rng or np.random.default_rng(seed)
+    if len(train.rows) < 2:
+        raise DataError(f"the tuning validation half is empty: the training split has "
+                        f"{len(train.rows)} row{'' if len(train.rows) == 1 else 's'}")
     fit, val = split(train, SplitSpec(mode="random-half", seed=seed))
     f_total = len(fit.independent)
     bounds = [(10, 150), (1, 30), (1, 20), (1, f_total)]

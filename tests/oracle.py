@@ -19,11 +19,15 @@ def normalize_bounds(value, lo, hi):
     """Map a numeric value into [0,1] by the bounds (lo, hi), clamped.
 
     Degenerate bounds (constant column) normalize to 0 so the column
-    contributes nothing to any distance.
+    contributes nothing to any distance. A span that overflows the float
+    range is taken over halved operands.
     """
     if hi <= lo:
         return 0.0
-    x = (value - lo) / (hi - lo)
+    if math.isinf(hi - lo):
+        x = (value / 2 - lo / 2) / (hi / 2 - lo / 2)
+    else:
+        x = (value - lo) / (hi - lo)
     return min(1.0, max(0.0, x))
 
 

@@ -241,6 +241,22 @@ class TestEval:
             err = stderr_of(res)
             assert "test split is empty" in err and "gate" not in err
 
+    def test_tune_on_one_training_row_names_its_validation_half(self, workdir, tmp_path):
+        # one training row leaves tune_de's validation half empty, while the
+        # test split holds 20 rows
+        lines = (workdir / "data.csv").read_text().splitlines()
+        body = [f"{row},{'train' if i == 0 else 'test'}" for i, row in enumerate(lines[1:22])]
+        data = tmp_path / "one_train.csv"
+        data.write_text("\n".join([lines[0] + ",version", *body]) + "\n")
+        versioned(workdir)
+        args = ["--data", str(data), "--schema", str(workdir / "versioned.json"), "--tune",
+                "--split-mode", "by-version", "--train-versions", "train", "--test-versions", "test"]
+        for command in (["eval", "--out", str(tmp_path / "r")], ["plan"]):
+            res = runner.invoke(main, command + args)
+            assert res.exit_code == 1
+            assert stderr_of(res).strip().splitlines() == [
+                "the tuning validation half is empty: the training split has 1 row"]
+
     def test_config_file_defaults_with_flag_override(self, workdir, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({

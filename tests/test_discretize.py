@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from xplan.data_model import MINIMIZE_RATE, Dataset, FeatureSpec
+from xplan import discretize
 from xplan.discretize import _find_cuts, mdl_discretize, rank_features
 from xplan.num_core import entropy
 from tests import oracle
@@ -103,13 +104,13 @@ class TestMdlDiscretize:
 
 
 @st.composite
-def sorted_pairs(draw, max_labels):
+def sorted_pairs(draw, max_labels, max_n=150, max_top=15):
     """(value, label) pairs sorted by value, over a few distinct values (so
     many ties) and 2..max_labels labels that follow value bands with some
     noise, so that cuts are found and accepted at several levels."""
-    n = draw(st.integers(0, 150))
+    n = draw(st.integers(0, max_n))
     k = draw(st.integers(2, max_labels))
-    top = draw(st.integers(0, 15))
+    top = draw(st.integers(0, max_top))
     bands = draw(st.integers(k, 3 * k))
     noise = draw(st.sampled_from([0.0, 0.1, 0.3, 1.0]))
     rng = random.Random(draw(st.integers(0, 2**32)))
@@ -119,6 +120,16 @@ def sorted_pairs(draw, max_labels):
         label = rng.randrange(k) if rng.random() < noise else v * bands // (top + 1) % k
         pairs.append((v / 2, f"c{label}"))
     return sorted(pairs, key=lambda p: p[0])
+
+
+SLICE_ORDER_CASES = [
+    [(0.0, "c0"), (0.0, "c0"), (0.0, "c0"), (0.5, "c0"), (1.0, "c1"), (1.0, "c1"),
+     (1.5, "c1"), (1.5, "c1"), (1.5, "c1"), (2.0, "c2"), (2.5, "c1"), (3.0, "c3"),
+     (3.0, "c3"), (3.0, "c3"), (3.5, "c0")],
+    [(0.5, "c1"), (0.5, "c1"), (0.5, "c1"), (1.0, "c2"), (1.0, "c2"), (1.5, "c4"),
+     (2.0, "c5"), (2.0, "c5"), (2.5, "c7"), (3.0, "c8"), (3.5, "c10"), (3.5, "c10"),
+     (4.0, "c0"), (4.0, "c0"), (4.0, "c0"), (4.5, "c2"), (4.5, "c2")],
+]
 
 
 class TestCutScanMatchesQuadraticSearch:
@@ -132,17 +143,33 @@ class TestCutScanMatchesQuadraticSearch:
     def test_up_to_forty_labels(self, pairs):
         assert _find_cuts(pairs) == oracle.find_cuts(pairs)
 
-    @pytest.mark.parametrize("pairs", [
-        [(0.0, "c0"), (0.0, "c0"), (0.0, "c0"), (0.5, "c0"), (1.0, "c1"), (1.0, "c1"),
-         (1.5, "c1"), (1.5, "c1"), (1.5, "c1"), (2.0, "c2"), (2.5, "c1"), (3.0, "c3"),
-         (3.0, "c3"), (3.0, "c3"), (3.5, "c0")],
-        [(0.5, "c1"), (0.5, "c1"), (0.5, "c1"), (1.0, "c2"), (1.0, "c2"), (1.5, "c4"),
-         (2.0, "c5"), (2.0, "c5"), (2.5, "c7"), (3.0, "c8"), (3.5, "c10"), (3.5, "c10"),
-         (4.0, "c0"), (4.0, "c0"), (4.0, "c0"), (4.5, "c2"), (4.5, "c2")],
-    ])
+    @settings(max_examples=40, deadline=None)
+    @given(sorted_pairs(max_labels=64, max_n=3000, max_top=300))
+    def test_levels_over_many_scan_blocks(self, pairs):
+        # up to 3000 pairs and 64 labels: one level's scan spans several
+        # blocks of (cut, label) cells
+        assert _find_cuts(pairs) == oracle.find_cuts(pairs)
+
+    def test_large_level_spans_many_blocks(self):
+        rng = random.Random(5)
+        values = [rng.randint(0, 400) / 4 for _ in range(3000)]
+        pairs = sorted(((v, f"c{int(v) * 64 // 101 if rng.random() < 0.7 else rng.randrange(64)}")
+                        for v in values), key=lambda p: p[0])
+        assert 3000 * 64 > 8 * discretize._SCAN_CELLS
+        cuts = _find_cuts(pairs)
+        assert len(cuts) > 10 and cuts == oracle.find_cuts(pairs)
+
+    @pytest.mark.parametrize("pairs", SLICE_ORDER_CASES)
     def test_entropy_terms_summed_in_slice_order(self, pairs):
         # here summing the right-hand terms in the labels' order over the
         # whole level, not over the right-hand slice, moves a cut
+        assert _find_cuts(pairs) == oracle.find_cuts(pairs)
+
+    @pytest.mark.parametrize("pairs", SLICE_ORDER_CASES)
+    def test_slice_order_carried_across_scan_blocks(self, pairs, monkeypatch):
+        # one cut per scan block: each block must carry the right side's
+        # counts and label order from the blocks after it
+        monkeypatch.setattr(discretize, "_SCAN_CELLS", 1)
         assert _find_cuts(pairs) == oracle.find_cuts(pairs)
 
     def test_planted_scale_column(self):

@@ -59,6 +59,16 @@ class TestDistance:
         cfg = DistanceConfig.from_dataset(ds)
         assert pair(ds.rows[0], ds.rows[0], cfg) == 0
 
+    def test_bounds_whose_span_overflows(self):
+        # hi - lo overflows to inf; each row is still at distance 0 from itself
+        ds = make_ds(["numeric"], [[-1.5e308], [1.5e308]])
+        cfg = DistanceConfig.from_dataset(ds)
+        enc = encode(ds.rows, cfg)
+        assert enc.unit.tolist() == [[0.0, 1.0]]
+        assert np.diag(distance(enc, enc)).tolist() == [0.0, 0.0]
+        assert distance(enc, enc)[0, 1] == 1.0
+        assert [oracle.distance(r, r, cfg) for r in ds.rows] == [0.0, 0.0]
+
     def test_full_range_numeric_is_one(self):
         ds = make_ds(["numeric"], [[0.0], [10.0]])
         cfg = DistanceConfig.from_dataset(ds)

@@ -120,7 +120,7 @@ def forest_cases(draw):
     """Small matrices with continuous, tied, constant and discrete-coded
     columns, both modes and the edge parameters of the grower."""
     n = draw(st.integers(1, 40))
-    f_total = draw(st.integers(1, 5))
+    f_total = draw(st.integers(1, 12))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     cols = []
     for _ in range(f_total):
@@ -176,6 +176,18 @@ class TestLockstepForest:
         assert_matches_oracle(X, y, REGRESS, ForestParams(n_trees=6, seed=4), rng.normal(size=(50, 3)))
         assert max(spreads) >= 50
 
+    @pytest.mark.parametrize("n", [*range(1, 9), 128, 129, 1500])
+    def test_regression_leaf_means_at_pairwise_boundaries(self, n):
+        # numpy's pairwise sum adds a run of up to 8 terms one by one, 8
+        # partial sums up to 128 terms and halves above that; targets of
+        # far-apart magnitudes make each grouping give other bits
+        rng = np.random.default_rng(n)
+        X = np.column_stack([rng.normal(size=n), rng.integers(0, 3, n)])
+        y = np.exp(rng.normal(size=n) * 8)
+        for params in (ForestParams(n_trees=1, max_depth=0), ForestParams(n_trees=3, max_depth=0, seed=n),
+                       ForestParams(n_trees=2, max_depth=1, min_leaf=max(1, n // 3), seed=n)):
+            assert_matches_oracle(X, y, REGRESS, params, rng.normal(size=(5, 2)))
+
     def test_planted_scale_forest(self, planted):
         train, test = split(planted, SplitSpec(seed=3))
         cfg = DistanceConfig.from_dataset(train)
@@ -185,6 +197,45 @@ class TestLockstepForest:
         assert [nested(model.trees, t) for t in range(20)] == ref
         encoded = encode(test.rows, cfg)
         assert model.predict(encoded) == oracle.predict(ref, predictor._filled(encoded, fill, unseen), CLASSIFY)
+
+
+def generator(seed, uinteger=None):
+    """A generator past a bootstrap-sized draw, as each tree's is when it
+    draws its first feature subset. ``uinteger`` sets the buffered high
+    half of a 64-bit output (has_uint32); 0 makes the next bounded integer
+    reject its first output unless its range is a power of two."""
+    rng = np.random.default_rng(seed)
+    rng.integers(0, 50, 50)
+    if uinteger is not None:
+        state = rng.bit_generator.state
+        state["has_uint32"], state["uinteger"] = 1, uinteger
+        rng.bit_generator.state = state
+    return rng
+
+
+class TestFeatureDraws:
+    """Batched draws against successive ``rng.choice(f, k, replace=False)``
+    calls on a copy of each generator, with trees skipping steps."""
+
+    def assert_draws_match(self, f, k, rngs, steps=None):
+        copies = [np.random.default_rng() for _ in rngs]
+        for copy, rng in zip(copies, rngs):
+            copy.bit_generator.state = rng.bit_generator.state
+        draws = predictor._FeatureDraws([rng.bit_generator for rng in rngs], f, k)
+        for step in range(steps or 3 * draws.calls + 2):  # past two refills of each tree
+            trees = np.array([t for t in range(len(rngs)) if (step + t) % 3], dtype=int)
+            assert draws.next(trees).tolist() == [copies[t].choice(f, k, replace=False).tolist()
+                                                  for t in trees]
+
+    def test_every_k_up_to_f_40(self):
+        for f in range(1, 41):
+            for k in range(1, f + 1):
+                self.assert_draws_match(f, k, [generator((f, k, 0)), generator((f, k, 1), 0),
+                                               generator((f, k, 2), 2**32 - 1)])
+
+    def test_tail_shuffle_branch(self):
+        # numpy shuffles the tail of all f indices when f > 10000 and k > f // 50
+        self.assert_draws_match(10001, 201, [generator(7), generator(8, 0)], steps=4)
 
 
 @st.composite
