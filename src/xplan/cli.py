@@ -92,6 +92,8 @@ def _prepare(data, schema, constraints, alpha, beta, gamma, seed, split_mode,
     try:
         if trees < 1:
             raise DataError(f"--trees must be at least 1, not {trees}")
+        if seed < 0:
+            raise DataError(f"--seed must be at least 0, not {seed}")
         if alpha is not None and alpha < 2:
             raise DataError(f"--alpha must be at least 2, not {alpha}")
         feats, class_mode = load_schema(schema)

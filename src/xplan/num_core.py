@@ -133,13 +133,14 @@ def encode(rows, cfg):
 def distance(a, b):
     """All pairwise distances between two encoded tables, as a
     (len(a), len(b)) array. Each cell is summed feature by feature in
-    schema order, exactly as a scalar loop over one pair would sum it."""
+    schema order, exactly as a scalar loop over one pair would sum it: a
+    weight of 1 multiplies nothing, and a signed difference squares as its
+    absolute value does."""
     cfg = a.cfg
     total = np.zeros((len(a), len(b)))
     for kind, w, ca, cb in zip(cfg.kinds, cfg.weights, a.unit, b.unit):
         if kind == NUMERIC:
             d = ca[:, None] - cb[None, :]
-            np.abs(d, out=d)
             miss_a, miss_b = np.isnan(ca), np.isnan(cb)
             if miss_a.any() or miss_b.any():
                 # a one-sided gap takes the far end of [0,1] from the value
@@ -150,9 +151,13 @@ def distance(a, b):
         else:
             # a missing symbol differs in the worst case: NaN != every code and NaN
             d = (ca[:, None] != cb[None, :]).astype(float)
-        term = w * d
-        term *= d
-        total += term
+        if w == 1.0:
+            d *= d
+            total += d
+        else:
+            term = w * d
+            term *= d
+            total += term
     return np.sqrt(total, out=total)
 
 

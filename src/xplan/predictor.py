@@ -9,10 +9,14 @@ raw numeric values and sorted symbol codes, with each gap filled by its
 column's training median. The forest encodes no rows itself: it reads
 tables encoded with the training rows' config (see ``forest_input``).
 
-Tree t draws its bootstrap sample, then one feature subset per splittable
-node in depth-first preorder, from its own ``default_rng((seed, t))``: the
-values of one ``rng.choice(f, k, replace=False)``, which ``_FeatureDraws``
-replays for many trees and nodes at once from the generators' raw outputs.
+Tree t draws its bootstrap sample, numpy's ``rng.integers(0, n, n)``, then
+one feature subset per splittable node in depth-first preorder, the values
+of one ``rng.choice(f, k, replace=False)``, from its own generator ``rng =
+default_rng((seed, t))``. None of these generators is made: ``_Streams``
+replays their seeding (``SeedSequence`` and PCG64) and their outputs for
+all trees at once, and ``_FeatureDraws`` the ``choice`` calls for many
+trees and nodes at once, so a fit loads no ``numpy.random`` (nor the
+OpenSSL library it brings in, several MB of resident memory).
 The trees grow in lockstep, the next node of each per step, with exact
 splits: each step is array work over all trees (their stacks, the split
 search over rows sorted by dense value ranks, the partitions), with no
@@ -23,6 +27,7 @@ forest.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 import warnings
@@ -70,7 +75,7 @@ class RegressorScore:
     per_item: list = None
 
 
-_CELL_CAP = 4096  # padded cells per batched search, walk or leaf sum: bounds temporaries
+_CELL_CAP = 4096  # padded cells per batched search, walk, leaf sum or block of draws: bounds temporaries
 
 
 def _rank_keys(X):
@@ -168,22 +173,201 @@ class Trees:
             a.resize(capacity, refcheck=False)
 
 
+_MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG64's 128-bit LCG multiplier
+
+
+def _limbs(values):
+    """128-bit ints as a (4, len(values)) uint64 array of 32-bit limbs, low first."""
+    return np.array([[v >> 32 * i & _MASK32 for v in values] for i in range(4)], np.uint64)
+
+
+def _seed_streams(seed, n_trees):
+    """The state and increment limbs of ``default_rng((seed, t))``'s PCG64
+    for t < n_trees, each t a lane of numpy's ``SeedSequence``: it hashes
+    the entropy's little-endian 32-bit words (a 0 is one word) into a pool
+    of four, mixes the words past the pool in last and draws four 64-bit
+    words from it, the seed and the stream of PCG64's ``srandom``. The
+    hashes' constants do not depend on the entropy, so every lane takes
+    the same steps."""
+    if seed < 0:
+        raise ValueError("expected non-negative integer")
+    words = [seed & _MASK32]
+    while seed := seed >> 32:
+        words.append(seed & _MASK32)
+    words.append(np.arange(n_trees, dtype=np.uint64))
+    hash_const = 0x43B0D7E5  # INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * 0x931E8875 & _MASK32  # MULT_A
+        value = value * hash_const & _MASK32
+        return value ^ value >> 16
+
+    def mix(x, y):
+        result = (0xCA01F9DD * x - 0x4973F715 * y) & _MASK32  # MIX_MULT_L, MIX_MULT_R; wraps mod 2^64
+        return result ^ result >> 16
+
+    pool = [hashmix(np.full(n_trees, words[i] if i < len(words) else 0, np.uint64)) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    hash_const, out = 0x8B51F9DD, []  # INIT_B: generate_state(4, uint64)
+    for i in range(8):
+        value = pool[i % 4] ^ hash_const
+        hash_const = hash_const * 0x58F38DED & _MASK32  # MULT_B
+        value = value * hash_const & _MASK32
+        out.append(value ^ value >> 16)
+    # the 64-bit words are out[0:2], ..., out[6:8]; seed = w0 w1, stream = w2 w3
+    seed, stream = np.stack([out[2], out[3], out[0], out[1]]), np.stack([out[6], out[7], out[4], out[5]])
+    inc = stream << 1 & _MASK32  # stream << 1 | 1
+    inc[0] |= 1
+    inc[1:] |= stream[:3] >> 31
+    # srandom: state 0, step, add the seed, step: M seed + (M + 1) inc
+    return _mul_add(_limbs([_PCG_MULT]), seed, _mul_add(_limbs([_PCG_MULT + 1]), inc)), inc
+
+
+@functools.cache
+def _jumps():
+    """The limbs of M^j and of 1 + M + ... + M^(j-1) mod 2^128 for j = 1..256,
+    M the multiplier: j steps take a state s to M^j s + (1 + ... + M^(j-1)) inc."""
+    power, total, powers, totals = 1, 0, [], []
+    for _ in range(256):
+        power, total = power * _PCG_MULT & _MASK128, (total * _PCG_MULT + 1) & _MASK128
+        powers.append(power)
+        totals.append(total)
+    return _limbs(powers), _limbs(totals)
+
+
+def _mul_add(a, x, d=(0, 0, 0, 0)):
+    """a x + d mod 2^128 over broadcast 32-bit limbs (first axis, low first).
+    Each column sums the halves of its limb products and d's limb, at most 8
+    terms below 2^32; the top column keeps only its low 32 bits, so its sum
+    may wrap."""
+    col = list(d)
+    for i in range(4):
+        for j in range(4 - i):
+            prod = a[i] * x[j]
+            if i + j == 3:
+                col[3] = col[3] + prod
+            else:
+                col[i + j] = col[i + j] + (prod & _MASK32)
+                col[i + j + 1] = col[i + j + 1] + (prod >> 32)
+    for i in range(3):
+        col[i + 1] = col[i + 1] + (col[i] >> 32)
+    return np.stack([c & _MASK32 for c in col])
+
+
+class _Streams:
+    """Each tree's PCG64 stream, read as numpy's ``Generator`` reads it, for
+    many trees at once: the raw 64-bit outputs and, over them, one cursor
+    per tree through the 32-bit outputs (the low half of each raw output,
+    then its high half) that bounded integers take.
+
+    State j steps on is M^j s + (1 + ... + M^(j-1)) inc mod 2^128. The
+    first term's constants are cached for each j (``_jumps``), the second
+    term for each tree and j up to ``step``, so a block of ``step`` outputs
+    of every tree is a few array operations; each output is PCG64's
+    XSL-RR, the state's two 64-bit halves xor-ed and rotated right by its
+    top 6 bits."""
+
+    def __init__(self, state, inc, buffered=()):
+        """Streams at the given state and increment limbs (4 x trees, see
+        ``_limbs``); ``buffered[t]``, if given and not None, is tree t's
+        unread high half of a raw output."""
+        n_trees = state.shape[1]
+        self.step = max(1, min(256, _CELL_CAP // n_trees))  # raw outputs per tree and block
+        self.state, self.offset = state, _mul_add(_jumps()[1][:, None, :self.step], inc[:, :, None])
+        self.buf = np.zeros((n_trees, 2 * self.step), np.uint32)  # each tree's unread outputs from ``at``
+        self.at = np.zeros(n_trees, int)  # the cursor: first unread output per tree
+        self.filled = np.zeros(n_trees, int)  # end of the buffered outputs per tree
+        for t, value in enumerate(buffered):
+            if value is not None:
+                self.buf[t, 0], self.filled[t] = value, 1
+
+    @classmethod
+    def seeded(cls, seed, n_trees):
+        """The streams of ``default_rng((seed, t))`` for t < n_trees."""
+        return cls(*_seed_streams(seed, n_trees))
+
+    def raw(self, trees, count):
+        """The next ``count`` raw outputs of each of ``trees``, bypassing the
+        cursor: a (len(trees), count) uint64 array."""
+        powers = _jumps()[0]
+        out = np.empty((len(trees), count), np.uint64)
+        state, offset = self.state[:, trees, None], self.offset[:, trees]
+        for lo in range(0, count, self.step):
+            j = min(self.step, count - lo)
+            s = _mul_add(powers[:, None, :j], state, offset[:, :, :j])
+            x = (s[3] ^ s[1]) << 32 | s[2] ^ s[0]
+            rot = s[3] >> 26
+            out[:, lo:lo + j] = x >> rot | x << (64 - rot & 63)
+            state = s[:, :, -1:]
+        self.state[:, trees] = state[:, :, 0]
+        return out
+
+    def bounded(self, trees, span):
+        """Each tree's next draws, one in [0, span[d]) for each d, as numpy's
+        bounded integers for spans of 2 to 2^32 - 1 (Lemire's method): an
+        output whose product with the span has its low 32 bits below
+        2^32 mod span is rejected, and the next output read instead."""
+        if not len(span):
+            return np.empty((len(trees), 0), np.int64)
+        limit, d = np.uint64(2**32) % span, np.arange(len(span))
+        skip = np.zeros((len(trees), len(span)), int)  # outputs rejected before each draw
+        while True:  # each pass moves each tree's first rejected draw one output on
+            self._reserve(trees, len(span) + skip[:, -1])
+            at = self.at[trees][:, None] + d + skip
+            m = self.buf[trees[:, None], at].astype(np.uint64) * span
+            rejected = (m & np.uint64(_MASK32)) < limit
+            if not rejected.any():
+                break
+            hit = rejected.any(axis=1)
+            skip[hit] += d >= rejected[hit].argmax(axis=1)[:, None]
+        self.at[trees] = at[:, -1] + 1
+        return (m >> np.uint64(32)).astype(np.int64)
+
+    def _reserve(self, trees, count):
+        """Buffer at least ``count`` unread outputs of each of ``trees``: the
+        short ones move their unread outputs to the front and fill the
+        buffer's width with new raw outputs, all by the same number."""
+        kept = self.filled[trees] - self.at[trees]
+        short = kept < count
+        if not short.any():
+            return
+        trees, kept, count = trees[short], kept[short], count[short]
+        words, front = int((count - kept).max() + 1) // 2, int(kept.max())
+        while front + 2 * words > self.buf.shape[1]:
+            self.buf = np.concatenate([self.buf, np.zeros_like(self.buf)], axis=1)
+        words = (self.buf.shape[1] - front) // 2
+        line = trees[:, None]
+        if front:
+            self.buf[line, np.arange(front)] = self.buf[line, np.minimum(
+                self.at[trees, None] + np.arange(front), self.buf.shape[1] - 1)]
+        x, at = self.raw(trees, words), kept[:, None] + np.arange(0, 2 * words, 2)
+        self.buf[line, at], self.buf[line, at + 1] = x & np.uint64(_MASK32), x >> np.uint64(32)
+        self.at[trees], self.filled[trees] = 0, kept + 2 * words
+
+
 class _FeatureDraws:
     """What successive ``rng.choice(f, k, replace=False)`` calls return on
     each tree's generator, drawn for many trees and calls at once.
 
-    numpy's ``choice`` reads bounded integers (Lemire's method) off the
-    generator's 32-bit outputs: the low half of each 64-bit PCG64 word,
-    then its high half, which the generator's state keeps (``has_uint32``,
-    ``uinteger``) until the next read. It runs Floyd's sampling loop, a
+    numpy's ``choice`` reads bounded integers off the generator's 32-bit
+    outputs (``_Streams.bounded``). It runs Floyd's sampling loop, a
     drawn value already taken giving way to j, and then a Fisher-Yates
     shuffle of the sample; for f > 10000 and k > f // 50 it instead runs
     the last k steps of a Fisher-Yates shuffle of all f indices. Both are
-    replayed here on each tree's buffered outputs, ``calls`` subsets per
-    tree at a time."""
+    replayed here on each tree's stream, ``calls`` subsets per tree at a
+    time."""
 
-    def __init__(self, generators, f, k):
-        self.gens, self.f, self.k = generators, f, k
+    def __init__(self, streams, f, k):
+        self.streams, self.f, self.k = streams, f, k
         self.tail = f > 10000 and k > f // 50
         # the shuffle's positions, and the inclusive bound of each integer
         # one call draws, in draw order; Floyd's j = 0 draws nothing, as its
@@ -192,17 +376,8 @@ class _FeatureDraws:
         bounds = self.swaps if self.tail else np.r_[np.arange(max(f - k, 1), f), self.swaps]
         self.per_call, self.calls = len(bounds), max(1, 64 // max(1, len(bounds)))
         self.span = np.tile(bounds.astype(np.uint64) + 1, self.calls)
-        self.limit = np.uint64(2**32) % self.span  # Lemire's rejection threshold
-        n_trees = len(generators)
-        self.buf = np.zeros((n_trees, 2 * len(self.span) + 2), np.uint32)
-        self.at = np.zeros(n_trees, int)      # first unread output per tree
-        self.filled = np.zeros(n_trees, int)  # end of the buffered outputs per tree
-        for t, g in enumerate(generators):
-            state = g.state
-            if state["has_uint32"]:
-                self.buf[t, 0], self.filled[t] = state["uinteger"], 1
-        self.subsets = np.zeros((n_trees, self.calls, k), np.int64)
-        self.used = np.full(n_trees, self.calls)  # subsets taken of ``subsets``
+        self.subsets = np.zeros((len(streams.at), self.calls, k), np.int64)
+        self.used = np.full(len(streams.at), self.calls)  # subsets taken of ``subsets``
 
     def next(self, trees):
         """The next subset of each of ``trees``, as a (len(trees), k) array."""
@@ -218,7 +393,7 @@ class _FeatureDraws:
         """The next ``calls`` subsets of each tree, (len(trees), calls, k)."""
         f, k, lines = self.f, self.k, len(trees) * self.calls
         # one line per call: Floyd's integers (none for j = 0), then the shuffle's
-        u = self._bounded(trees).reshape(lines, self.per_call)
+        u = self.streams.bounded(trees, self.span).reshape(lines, self.per_call)
         if self.tail:
             picks = np.tile(np.arange(f), (lines, 1))
         else:
@@ -232,40 +407,6 @@ class _FeatureDraws:
             picks[line, j] = picks[:, i]
             picks[:, i] = swap
         return picks[:, picks.shape[1] - k:].reshape(len(trees), self.calls, k)
-
-    def _bounded(self, trees):
-        """The integers of each tree's next ``calls`` subsets, each in [0,
-        its bound]. Lemire's method rejects an output whose product with
-        bound + 1 has its low word below ``limit`` and reads the next one."""
-        if not len(self.span):
-            return np.empty((len(trees), 0), np.int64)
-        skip = np.zeros((len(trees), len(self.span)), int)  # outputs rejected before each draw
-        while True:  # each pass moves each tree's first rejected draw one output on
-            self._reserve(trees, len(self.span) + skip[:, -1])
-            at = self.at[trees][:, None] + np.arange(len(self.span)) + skip
-            m = self.buf[trees[:, None], at].astype(np.uint64) * self.span
-            rejected = (m & np.uint64(0xFFFFFFFF)) < self.limit
-            if not rejected.any():
-                break
-            hit = rejected.any(axis=1)
-            skip[hit] += np.arange(len(self.span)) >= rejected[hit].argmax(axis=1)[:, None]
-        self.at[trees] = at[:, -1] + 1
-        return (m >> np.uint64(32)).astype(np.int64)
-
-    def _reserve(self, trees, count):
-        """Buffer at least ``count`` unread outputs of each of ``trees``."""
-        short = trees[self.filled[trees] - self.at[trees] < count]
-        if not len(short):
-            return
-        while count.max() >= self.buf.shape[1]:
-            self.buf = np.concatenate([self.buf, np.zeros_like(self.buf)], axis=1)
-        for t in short.tolist():
-            lo = self.filled[t] - self.at[t]
-            self.buf[t, :lo] = self.buf[t, self.at[t]:self.filled[t]]
-            words = self.gens[t].random_raw((self.buf.shape[1] - lo) // 2)
-            hi = lo + 2 * len(words)
-            self.buf[t, lo:hi:2], self.buf[t, lo + 1:hi:2] = words & 0xFFFFFFFF, words >> 32
-            self.at[t], self.filled[t] = 0, hi
 
 
 def _grow_trees(X, y, mode, params):
@@ -281,15 +422,17 @@ def _grow_trees(X, y, mode, params):
     min_size = max(2, 2 * min_leaf) if k else n + 1  # no feature, no split
     # unlimited depth stays below n: a split leaves rows on both sides
     max_depth = n if params.max_depth is None else params.max_depth
-    rows, generators = np.empty(n_trees * n, np.int32), []
-    total, pure = np.zeros(n_trees), np.zeros(n_trees, bool)  # of each root
-    for t in range(n_trees):
-        tree_rng = np.random.default_rng((params.seed, t))
-        sample = rows[t * n:(t + 1) * n]
-        sample[:] = tree_rng.integers(0, n, n) if n_trees > 1 else np.arange(n)
-        generators.append(tree_rng.bit_generator)
-        total[t], pure[t] = y[sample].sum(), np.all(y[sample] == y[sample[0]])
-    draws = _FeatureDraws(generators, f_total, k)
+    rows, streams = np.empty(n_trees * n, np.int32), _Streams.seeded(params.seed, n_trees)
+    samples = rows.reshape(n_trees, n)
+    if n_trees > 1 and n > 1:  # the bootstrap: numpy's integers(0, 1, 1) reads nothing
+        span = np.full(max(1, _CELL_CAP // n_trees), n, np.uint64)
+        for lo in range(0, n, len(span)):
+            samples[:, lo:lo + len(span)] = streams.bounded(np.arange(n_trees), span[:n - lo])
+    else:
+        samples[:] = np.arange(n)
+    total = y[samples].sum(axis=1)  # of each root
+    pure = (y[samples] == y[samples[:, :1]]).all(axis=1)
+    draws = _FeatureDraws(streams, f_total, k)
     keys, values = _rank_keys(X)
     trees = Trees(*(np.zeros(0, dtype) for dtype in (np.int32, float, np.int32, np.int32, float)))
     stack, top = np.zeros((4, n_trees, 8), int), np.zeros(n_trees, int)  # node, start, size, depth

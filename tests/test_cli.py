@@ -204,6 +204,39 @@ class TestEval:
         assert stderr_of(res).strip().splitlines() == [f"--trees must be at least 1, not {trees}"]
         assert not (tmp_path / "r").exists()
 
+    @pytest.mark.parametrize("command", ["eval", "plan"])
+    def test_negative_seed_is_usage_error(self, workdir, tmp_path, command):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": -1}))
+        args = base_args(workdir)
+        flag = args[:args.index("--seed")] + args[args.index("--seed") + 2:]  # --seed from --config
+        out = ["--out", str(tmp_path / "r")] if command == "eval" else []
+        for argv in (base_args(workdir, "--seed", "-1"), ["--config", str(cfg)] + flag):
+            res = runner.invoke(main, [command] + argv + out)
+            assert res.exit_code == 1
+            assert res.exception is None or isinstance(res.exception, SystemExit)
+            assert stderr_of(res).strip().splitlines() == ["--seed must be at least 0, not -1"]
+        assert not (tmp_path / "r").exists()
+
+    def test_eval_loads_no_numpy_random_nor_openssl(self, workdir, tmp_path):
+        # the forest replays each tree's PCG64 stream itself: numpy.random
+        # would load secrets, hashlib and OpenSSL's libcrypto, several MB
+        # of resident memory
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+        script = ("import sys\n"
+                  "from xplan.cli import main\n"
+                  "try:\n"
+                  "    main(sys.argv[1:])\n"
+                  "except SystemExit as exc:\n"
+                  "    assert not exc.code, exc.code\n"
+                  "print(sorted({'numpy.random', 'secrets', '_hashlib'} & set(sys.modules)))\n")
+        proc = subprocess.run([sys.executable, "-c", script, "eval", *base_args(
+            workdir, "--methods", "identity,xtree", "--out", str(tmp_path / "r"))],
+            capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip().splitlines()[-1] == "[]"
+
     def test_unknown_method_exits_1(self, workdir, tmp_path):
         res = runner.invoke(main, ["eval"] + base_args(
             workdir, "--methods", "magic", "--out", str(tmp_path / "r")))

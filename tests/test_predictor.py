@@ -213,18 +213,74 @@ def generator(seed, uinteger=None):
     return rng
 
 
+def streams_at(rngs):
+    """Replayed streams at the generators' states, their buffered high half included."""
+    states = [rng.bit_generator.state for rng in rngs]
+    return predictor._Streams(predictor._limbs([s["state"]["state"] for s in states]),
+                              predictor._limbs([s["state"]["inc"] for s in states]),
+                              [s["uinteger"] if s["has_uint32"] else None for s in states])
+
+
+class TestStreams:
+    """The replayed PCG64 streams against numpy's ``default_rng((seed, t))``."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**32, 2**130 + 5])
+    def test_raw_outputs(self, seed):
+        # 2^130 + 5 has five 32-bit words: one past SeedSequence's pool
+        streams = predictor._Streams.seeded(seed, 100)
+        trees = np.array([0, 1, 99])
+        words = np.concatenate([streams.raw(trees, 300), streams.raw(trees, 1), streams.raw(trees, 700)], axis=1)
+        for t, got in zip(trees, words):
+            assert got.tolist() == np.random.default_rng((seed, int(t))).bit_generator.random_raw(1001).tolist()
+
+    def test_negative_entropy_rejected_as_numpy_does(self):
+        for seed in (-1, -2**40):
+            with pytest.raises(ValueError, match="expected non-negative integer"):
+                np.random.default_rng((seed, 0))
+            with pytest.raises(ValueError, match="expected non-negative integer"):
+                predictor._Streams.seeded(seed, 2)
+
+    def test_bounded_draws_with_half_rejected(self):
+        # a span of 2^31 + 1 rejects the outputs whose product with it has
+        # its low word below 2^31 - 1: about half of them
+        rngs = [np.random.default_rng((3, t)) for t in range(4)]
+        streams = predictor._Streams.seeded(3, 4)
+        trees = np.arange(4)
+        for span in (2**31 + 1, 7, 2**31 + 1, 2**32 - 1):
+            got = streams.bounded(trees, np.full(64, span, np.uint64))
+            assert got.tolist() == [rng.integers(0, span, 64).tolist() for rng in rngs]
+
+    def test_bounded_draws_resume_on_a_buffered_high_half(self):
+        rngs = [np.random.default_rng(5), np.random.default_rng(6)]
+        for rng, reads in zip(rngs, (3, 4)):
+            rng.integers(0, 10, reads)
+        streams = streams_at(rngs)
+        assert [s["has_uint32"] for s in (rng.bit_generator.state for rng in rngs)] == [1, 0]
+        got = streams.bounded(np.arange(2), np.arange(2, 40, dtype=np.uint64))
+        assert got.tolist() == [[rng.integers(0, s) for s in range(2, 40)] for rng in rngs]
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 25])
+    def test_fit_matches_oracle_on_few_and_odd_rows(self, n):
+        # one row draws no bootstrap (numpy's integers(0, 1, 1) reads
+        # nothing); an odd n leaves each tree's feature draws starting on
+        # the high half of its bootstrap's last output
+        rng = np.random.default_rng(n)
+        X = np.column_stack([rng.normal(size=n), rng.integers(0, 3, n), rng.normal(size=n)])
+        y = (rng.random(n) < 0.5).astype(float)
+        for mode, target in ((CLASSIFY, y), (REGRESS, X[:, 0] * 10)):
+            assert_matches_oracle(X, target, mode, ForestParams(n_trees=5, features_per_split=1, seed=n),
+                                  rng.normal(size=(4, 3)))
+
+
 class TestFeatureDraws:
     """Batched draws against successive ``rng.choice(f, k, replace=False)``
-    calls on a copy of each generator, with trees skipping steps."""
+    calls on each generator, with trees skipping steps."""
 
     def assert_draws_match(self, f, k, rngs, steps=None):
-        copies = [np.random.default_rng() for _ in rngs]
-        for copy, rng in zip(copies, rngs):
-            copy.bit_generator.state = rng.bit_generator.state
-        draws = predictor._FeatureDraws([rng.bit_generator for rng in rngs], f, k)
+        draws = predictor._FeatureDraws(streams_at(rngs), f, k)
         for step in range(steps or 3 * draws.calls + 2):  # past two refills of each tree
             trees = np.array([t for t in range(len(rngs)) if (step + t) % 3], dtype=int)
-            assert draws.next(trees).tolist() == [copies[t].choice(f, k, replace=False).tolist()
+            assert draws.next(trees).tolist() == [rngs[t].choice(f, k, replace=False).tolist()
                                                   for t in trees]
 
     def test_every_k_up_to_f_40(self):
