@@ -1,25 +1,25 @@
 """Variability-splitting decision tree with navigable leaves.
 
 Each node splits on the independent feature whose candidate split most
-reduces the variability of the dependent column: multiway, one child per
-MDL bin (numerics) or per symbol (discretes). Leaves keep their member
-rows, their centroid and a quality score so planners can compare
-branches.
+reduces the variability of the dependent column (class entropy, or the
+population std of a numeric dependent): multiway, one child per MDL bin
+(numerics) or per symbol (discretes). The tree reads the run's encoded
+training table and the forest's targets; a numeric is binned by
+``mdl_discretize`` against the classes, or against above/below the
+median. Leaves keep their member rows, their centroid and a quality
+score so planners can compare branches.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
-from xplan.data_model import (
-    DISCRETE,
-    INDEPENDENT,
-    MINIMIZE_RATE,
-    NUMERIC,
-    dependent_score,
-)
+import numpy as np
+
+from xplan.data_model import MINIMIZE_RATE, NUMERIC, dependent_score
 from xplan.discretize import Bin, mdl_discretize
-from xplan.num_core import DistanceConfig, distance_matrix, variability
+from xplan.num_core import distance_matrix, entropy
 from xplan.where_cluster import ClusterConfig, centroid_of
 
 MIN_GAIN = 1e-6  # absolute variability reduction needed to keep a split
@@ -50,88 +50,74 @@ class TreeNode:
         return out
 
 
-def _dep_labels(train):
-    """Dependent column as class labels for the discretizer."""
-    dep = train.dep_values()
-    if train.objective == MINIMIZE_RATE:
-        return ["t" if v else "f" for v in dep]
-    med = dependent_score(dep, train.objective)
-    return ["hi" if v > med else "lo" for v in dep]
-
-
-def _dep_variability(train, ids):
-    vals = [train.rows[i][train.dep_index] for i in ids]
-    return variability(vals, DISCRETE if train.objective == MINIMIZE_RATE else NUMERIC)
-
-
-def _candidate_split(train, labels, ids, feat):
-    """Partition ids by one feature; returns (conditions, groups) or None.
-
-    Rows with a missing value join the largest group.
-    """
-    col_i = train.index(feat.name)
-    present = [i for i in ids if train.rows[i][col_i] is not None]
-    missing = [i for i in ids if train.rows[i][col_i] is None]
-    if not present:
-        return None
-    if feat.kind == NUMERIC:
-        vals = [train.rows[i][col_i] for i in present]
-        bins = mdl_discretize(vals, [labels[i] for i in present], feat.name)
-        if len(bins) < 2:
-            return None
-        conds = bins
-        groups = [[] for _ in bins]
-        for i in present:
-            v = train.rows[i][col_i]
-            for g, b in zip(groups, bins):
-                if b.contains(v):
-                    g.append(i)
-                    break
-    else:
-        by_sym = {}
-        for i in present:
-            by_sym.setdefault(train.rows[i][col_i], []).append(i)
-        if len(by_sym) < 2:
-            return None
-        conds = sorted(by_sym)
-        groups = [by_sym[s] for s in conds]
-    if missing:
-        max(groups, key=len).extend(missing)
-    pairs = [(c, g) for c, g in zip(conds, groups) if g]
-    return ([c for c, _ in pairs], [g for _, g in pairs]) if len(pairs) >= 2 else None
-
-
-def build_tree(train, alpha=None):
-    """Grow the tree top-down; children larger than alpha are re-split."""
-    n = len(train.rows)
+def build_tree(train, encoded, y, alpha=None):
+    """Grow the tree top-down over the training rows' encoded table and
+    their targets (``forest_input``'s); children larger than alpha are
+    re-split."""
+    n = len(y)
     if n == 0:
         raise ValueError("empty training data")
     alpha = ClusterConfig(alpha).resolve_alpha(n)
-    labels = _dep_labels(train)
+    classify = train.objective == MINIMIZE_RATE
+    # the discretizer's classes: the class itself, or above the median
+    labels = y if classify else y > dependent_score(y.tolist(), train.objective)
+    # each discrete's symbols by code: codes are handed out in insertion order
+    symbols = {name: list(codes) for name, codes in encoded.cfg.codes.items()}
+
+    def variability(ids):
+        """Entropy of the classes, or the population std with both sums
+        taken left to right, over the members in their order."""
+        vals = y[ids]
+        if classify:
+            hits = int(np.count_nonzero(vals))
+            return entropy([hits, len(vals) - hits])
+        mean = vals.cumsum()[-1] / len(vals)
+        # float_power calls libm's pow, as Python's ** does
+        return math.sqrt(np.float_power(vals - mean, 2).cumsum()[-1] / len(vals))
+
+    def partition(ids, name, kind, col):
+        """(conditions, groups) of one feature's split of ids, or None. A
+        group holds its present members in their order, then, if it is the
+        first largest, the members with a missing cell."""
+        v = col[ids]
+        missing = np.isnan(v)
+        present = v[~missing]
+        if not len(present):
+            return None
+        if kind == NUMERIC:
+            conds = mdl_discretize(present, labels[ids[~missing]], name)
+            group = np.searchsorted([b.hi for b in conds[:-1]], present)  # lo < v <= hi
+        else:
+            conds, group = symbols[name], present.astype(np.intp)  # by code: sorted symbols
+        g = np.full(len(ids), np.argmax(np.bincount(group, minlength=len(conds))))
+        g[~missing] = group
+        sizes = np.bincount(g, minlength=len(conds))
+        kept = np.flatnonzero(sizes)
+        if len(kept) < 2:
+            return None
+        ends = np.cumsum(sizes[kept]).tolist()
+        ordered = ids[np.argsort(2 * g + missing, kind="stable")]
+        return [conds[k] for k in kept], [ordered[a:b] for a, b in zip([0] + ends, ends)]
 
     def grow(ids, depth, parent):
         node = TreeNode(
-            members=ids,
-            score=dependent_score([train.rows[i][train.dep_index] for i in ids], train.objective),
+            members=ids.tolist(),
+            score=dependent_score(y[ids].tolist(), train.objective),
             depth=depth,
             parent=parent,
         )
-        here = _dep_variability(train, ids)
+        here = variability(ids)
         if len(ids) <= alpha or here <= 0:
             return node
         best = None
-        for feat in train.features:
-            if feat.role != INDEPENDENT:
-                continue
-            cand = _candidate_split(train, labels, ids, feat)
+        for name, kind, col in zip(encoded.cfg.names, encoded.cfg.kinds, encoded.cols):
+            cand = partition(ids, name, kind, col)
             if cand is None:
                 continue
             conds, groups = cand
-            spread = sum(
-                len(g) / len(ids) * _dep_variability(train, g) for g in groups
-            )
+            spread = sum(len(g) / len(ids) * variability(g) for g in groups)
             if best is None or spread < best[0]:
-                best = (spread, feat.name, conds, groups)
+                best = (spread, name, conds, groups)
         if best is None or here - best[0] <= MIN_GAIN:
             return node
         _, fname, conds, groups = best
@@ -139,13 +125,13 @@ def build_tree(train, alpha=None):
         node.branches = [(c, grow(g, depth + 1, node)) for c, g in zip(conds, groups)]
         return node
 
-    root = grow(list(range(n)), 0, None)
+    root = grow(np.arange(n), 0, None)
     leaves = root.leaves()
     for pos, leaf in enumerate(leaves):
         leaf.centroid = centroid_of([train.rows[i] for i in leaf.members], train.features)
         leaf.leaf_pos = pos
     centroids = [leaf.centroid for leaf in leaves]
-    root.leaf_distances = distance_matrix(centroids, centroids, DistanceConfig.from_dataset(train)).tolist()
+    root.leaf_distances = distance_matrix(centroids, centroids, encoded.cfg).tolist()
     return root
 
 

@@ -4,21 +4,22 @@ Numeric columns are cut recursively at the midpoint that most reduces
 label entropy; a cut survives only if its information gain beats the MDL
 acceptance threshold. Each level scores all its cuts at once from
 cumulative label counts, with every entropy summed term by term exactly
-as counting the slice afresh would (see ``_level_cuts``). Feature ranking
-scores each column by the expected label entropy over its bins (lower =
-more informative) and keeps the top beta fraction.
+as counting the slice afresh would (see ``_level_cuts``).
+``mdl_discretize`` is the one binner: xtree's tree and the feature
+ranking both call it on arrays cut from the run's encoded table. Feature
+ranking scores each column by the expected label entropy over its bins
+(lower = more informative) and keeps the top beta fraction.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
-from xplan.data_model import INDEPENDENT, NUMERIC
+from xplan.data_model import NUMERIC
 from xplan.num_core import entropy, key_dtype
 
 
@@ -65,15 +66,6 @@ def _mdl_accepts(labels, left, right):
     delta = math.log2(3 ** k - 2) - (k * e - k1 * e1 - k2 * e2)
     threshold = (math.log2(n - 1) + delta) / n
     return gain > threshold
-
-
-def _find_cuts(pairs):
-    """Recursive cut search over (value, label) pairs sorted by value; see
-    ``_level_cuts``."""
-    index = {}
-    codes = np.array([index.setdefault(lab, len(index)) for _, lab in pairs], dtype=np.int64)
-    values = [v for v, _ in pairs]
-    return _level_cuts(values, codes, np.array([a != b for a, b in zip(values, values[1:])], dtype=bool))
 
 
 def _level_cuts(values, codes, distinct):
@@ -143,50 +135,40 @@ def _plogp(counts, totals):
 
 
 def mdl_discretize(column, labels, feature=""):
-    """Bin a numeric column against class labels; bins tile the real line."""
+    """Bin a numeric column (no missing cells) against class labels; bins
+    tile the real line, and each counts the values it holds and their
+    label entropy."""
     if len(column) != len(labels):
         raise ValueError("column and labels differ in length")
-    pairs = sorted(zip(column, labels), key=lambda p: p[0])
-    cuts = sorted(_find_cuts(pairs))
+    values = np.asarray(column, dtype=float)
+    order = np.argsort(values, kind="stable")
+    values, codes = values[order], np.unique(np.asarray(labels), return_inverse=True)[1][order]
+    # Python floats, so that each cut point is one too
+    cuts = sorted(_level_cuts(values.tolist(), codes, values[1:] != values[:-1]))
     edges = [-math.inf] + cuts + [math.inf]
-    bins = [Bin(feature, lo, hi) for lo, hi in zip(edges, edges[1:])]
-    values = [v for v, _ in pairs]
-    ends = [0] + [bisect.bisect_right(values, cut) for cut in cuts] + [len(pairs)]
-    for b, start, end in zip(bins, ends, ends[1:]):  # the sorted pairs that b contains
-        inside = [lab for _, lab in pairs[start:end]]
-        b.count = len(inside)
-        b.entropy = _label_entropy(inside) if inside else 0.0
-    return bins
+    ends = [0] + np.searchsorted(values, cuts, side="right").tolist() + [len(values)]
+    return [Bin(feature, lo, hi, _label_entropy(codes[start:end].tolist()), end - start)
+            for lo, hi, start, end in zip(edges, edges[1:], ends, ends[1:])]
 
 
-def bins_for(feature_values, cluster_ids, kind, name=""):
-    """Bins of one feature: MDL cuts for numerics, raw symbols for discretes.
-
-    Returns (count, entropy) pairs; rows with a missing value are skipped.
-    """
-    present = [(v, c) for v, c in zip(feature_values, cluster_ids) if v is not None]
-    if not present:
-        return []
-    if kind == NUMERIC:
-        vals = [v for v, _ in present]
-        labs = [c for _, c in present]
-        return [(b.count, b.entropy) for b in mdl_discretize(vals, labs, name)]
-    groups = {}
-    for v, c in present:
-        groups.setdefault(v, []).append(c)
-    return [(len(labs), _label_entropy(labs)) for labs in groups.values()]
-
-
-def rank_features(train, cluster_ids, beta=0.33):
-    """Order features by how tightly their bins select few cluster ids."""
+def rank_features(encoded, cluster_ids, beta=0.33):
+    """Order the encoded table's features by how tightly their bins select
+    few cluster ids: MDL bins for numerics, one bin per symbol for
+    discretes (in order of first appearance); missing cells are skipped."""
+    ids = np.asarray(cluster_ids)
     scored = []
-    for f in train.features:
-        if f.role != INDEPENDENT:
-            continue
-        stats = bins_for(train.column(f.name), cluster_ids, f.kind, f.name)
+    for name, kind, col in zip(encoded.cfg.names, encoded.cfg.kinds, encoded.cols):
+        present = ~np.isnan(col)
+        values, labels = col[present], ids[present]
+        if kind == NUMERIC:
+            stats = [(b.count, b.entropy) for b in mdl_discretize(values, labels, name)]
+        else:
+            _, first, group = np.unique(values, return_index=True, return_inverse=True)
+            stats = [(len(labs), _label_entropy(labs.tolist()))
+                     for labs in (labels[group == g] for g in np.argsort(first))]
         total = sum(n for n, _ in stats)
         score = sum((n / total) * e for n, e in stats) if total else 0.0
-        scored.append((f.name, score))
+        scored.append((name, score))
     ranking = sorted(scored, key=lambda p: p[1])  # stable: ties keep column order
     keep = max(1, round(beta * len(ranking)))
     return FeatureRanking(ranking, [name for name, _ in ranking[:keep]])

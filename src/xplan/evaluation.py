@@ -94,7 +94,6 @@ class ExperimentResult:
 class TrustReport:
     before_mean: float
     after_mean: float
-    per_row: list  # (before, after) nearest-training distances
 
 
 @dataclass
@@ -116,7 +115,9 @@ class RunArtifacts:
     forest parameters, plus what every seed of a run shares: the encoded
     train and test rows, the forest's input and, built on first use,
     xtree's tree with its leaf centroids (``build_tree`` draws no random
-    numbers) and each test row's distance to its nearest training row."""
+    numbers; it reads the encoded training rows and the forest's targets)
+    and each test row's distance to its nearest training row. Each seed's
+    feature ranking reads the encoded training rows too."""
 
     def __init__(self, train, test, cfg, fm=None, forest_params=None):
         self.train = train
@@ -131,7 +132,8 @@ class RunArtifacts:
 
     @cached_property
     def tree(self):
-        return build_tree(self.train, self.cfg.alpha)
+        _, targets, *_ = self.forest_input
+        return build_tree(self.train, self.encoded_train, targets, self.cfg.alpha)
 
     @cached_property
     def nearest(self):
@@ -174,7 +176,7 @@ class RunArtifacts:
             planners["cd"] = lambda i, row_rng: cd_plans[i]
         if wanted & {"cdfs", "bic"}:
             ids = {i: c.index for c in clusters for i in c.members}
-            ranking = rank_features(train, [ids[i] for i in range(len(train.rows))], cfg.beta)
+            ranking = rank_features(self.encoded_train, [ids[i] for i in range(len(train.rows))], cfg.beta)
         if "cdfs" in wanted:
             planners["cdfs"] = lambda i, row_rng: plan_cdfs(cd_plans[i], ranking)
         if "bic" in wanted:
@@ -217,11 +219,7 @@ def trust_report(train, test, changed, before):
     same = (test.cols == changed.cols) | (np.isnan(test.cols) & np.isnan(changed.cols))
     moved = np.flatnonzero(~same.all(axis=0))
     after[moved] = nearest_distances(train, changed.take(moved))
-    return TrustReport(
-        float(np.mean(before)),
-        float(np.mean(after)),
-        list(zip(before.tolist(), after.tolist())),
-    )
+    return TrustReport(float(np.mean(before)), float(np.mean(after)))
 
 
 def run_experiment(train, test, method, arts):

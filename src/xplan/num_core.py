@@ -1,9 +1,8 @@
-"""Shared numeric primitives: column variability, the row encoding, row
+"""Shared numeric primitives: base-2 entropy, the row encoding, row
 distance and the dtype of integer sort keys.
 
-Variability is population standard deviation for numeric columns and
-base-2 entropy for discrete ones. ``encode`` is the one row encoding,
-which the forest also splits: a float column per independent feature
+``encode`` is the one row encoding, which the forest, xtree's tree and
+the feature ranking also read: a float column per independent feature
 with raw numeric values, symbol codes and NaN for missing cells.
 Distance is a weighted Euclidean over these columns, with numerics
 normalized to [0,1] by the training bounds, discrete mismatch counting
@@ -15,7 +14,6 @@ cached ``unit`` array that ``distance`` reads and ``take`` slices.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -40,21 +38,6 @@ def key_dtype(top):
     least, as each further sort kernel numpy runs adds its code to the
     process's resident memory."""
     return np.promote_types(np.min_scalar_type(top), np.uint32)
-
-
-def variability(column, kind):
-    """Standard deviation (numeric) or entropy (discrete) of a column."""
-    if not column:
-        raise ValueError("variability of an empty column")
-    if kind == NUMERIC:
-        vals = [v for v in column if v is not None]
-        if not vals:
-            return 0.0
-        mean = sum(vals) / len(vals)
-        return math.sqrt(sum((v - mean) ** 2 for v in vals) / len(vals))
-    if kind == DISCRETE:
-        return entropy(Counter(column).values())
-    raise ValueError(f"bad kind {kind!r}")
 
 
 @dataclass

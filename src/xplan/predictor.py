@@ -71,8 +71,7 @@ class ClassifierScore:
 
 @dataclass
 class RegressorScore:
-    s: float              # mean of 1 - |a - p| / a
-    per_item: list = None
+    s: float  # mean of 1 - |a - p| / a
 
 
 _CELL_CAP = 4096  # padded cells per batched search, walk, leaf sum or block of draws: bounds temporaries
@@ -538,13 +537,13 @@ def _filled(table, fill, unseen):
     return np.where(np.isnan(X) | (X >= unseen), fill, X)
 
 
-def forest_input(train, encoded, mode=None):
+def forest_input(train, encoded):
     """What every fit on ``train`` reads, from its rows ``encoded`` with
-    ``DistanceConfig.from_dataset(train)``: mode, targets, the matrix the
-    trees split and each column's fill (median of the present cells, else
-    0.0) and unseen limit (the training symbols hold the lowest codes)."""
-    if mode is None:
-        mode = CLASSIFY if train.objective == MINIMIZE_RATE else REGRESS
+    ``DistanceConfig.from_dataset(train)``: the mode its objective sets,
+    targets, the matrix the trees split and each column's fill (median of
+    the present cells, else 0.0) and unseen limit (the training symbols
+    hold the lowest codes)."""
+    mode = CLASSIFY if train.objective == MINIMIZE_RATE else REGRESS
     if not train.rows:
         raise ValueError("empty training data")
     dep = train.dep_values()
@@ -587,7 +586,7 @@ def score_regressor(test, predicted):
             warnings.warn("skipping test item with zero actual value")
             continue
         items.append(1 - abs(a - p) / a)
-    return RegressorScore(sum(items) / len(items) if items else math.nan, items)
+    return RegressorScore(sum(items) / len(items) if items else math.nan)
 
 
 def gate(score, s_threshold=0.9):
@@ -685,7 +684,7 @@ def _params_from_vector(vec, f_total):
     )
 
 
-def tune_de(train, budget=200, rng=None, mode=None, seed=1):
+def tune_de(train, budget=200, rng=None, seed=1):
     """Tune forest hyperparameters by DE on a held-out validation half.
 
     Fitness is pd - pf for classifiers and mean s for regressors; the
@@ -704,7 +703,7 @@ def tune_de(train, budget=200, rng=None, mode=None, seed=1):
     bounds = [(10, 150), (1, 30), (1, 20), (1, f_total)]
     default = ForestParams(seed=seed)
     cfg = DistanceConfig.from_dataset(fit)
-    data = forest_input(fit, encode(fit.rows, cfg), mode)
+    data = forest_input(fit, encode(fit.rows, cfg))
     encoded_val = encode(val.rows, cfg)
 
     def fitness(vec):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from xplan.data_model import NUMERIC, dependent_score
-from xplan.num_core import DistanceConfig, distance, encode
+from xplan.num_core import distance
 
 
 @dataclass
@@ -90,11 +90,9 @@ def _summarize(index, member_ids, ds, rng):
     return ClusterSummary(index, list(member_ids), centroid_of(rows, ds.features), best, score)
 
 
-def cluster(train, cfg, rng, rows=None):
-    """Recursively bisect the training rows (encoded here unless given as
-    ``rows``); returns leaf summaries."""
-    if rows is None:
-        rows = encode(train.rows, DistanceConfig.from_dataset(train))
+def cluster(train, cfg, rng, rows):
+    """Recursively bisect the training rows, encoded as ``rows``; returns
+    leaf summaries."""
     alpha = cfg.resolve_alpha(len(train.rows))
     leaves = []
 

@@ -12,6 +12,7 @@ from xplan.data_model import (
     Dataset,
     FeatureSpec,
 )
+from xplan.decision_tree import build_tree
 from xplan.num_core import DistanceConfig, encode
 from xplan.predictor import forest_input, train_forest
 
@@ -26,12 +27,25 @@ def _format_cell(cell):
     return str(cell)
 
 
-def fit_forest(ds, params, mode=None):
+def encoded(ds):
+    """ds's rows encoded with the config of ds, as a run encodes its
+    training rows."""
+    return encode(ds.rows, DistanceConfig.from_dataset(ds))
+
+
+def fit_forest(ds, params):
     """A forest on ds, and its predictions for rows encoded as a run
     encodes them: with the config of ds."""
-    encoded = encode(ds.rows, DistanceConfig.from_dataset(ds))
-    model = train_forest(forest_input(ds, encoded, mode), params)
-    return model, lambda rows: model.predict(encode(rows, encoded.cfg))
+    table = encoded(ds)
+    model = train_forest(forest_input(ds, table), params)
+    return model, lambda rows: model.predict(encode(rows, table.cfg))
+
+
+def tree_of(ds, alpha=None):
+    """xtree's tree on ds, built from the tables a run builds."""
+    table = encoded(ds)
+    _, targets, *_ = forest_input(ds, table)
+    return build_tree(ds, table, targets, alpha)
 
 
 def save_csv(ds, path):

@@ -1,18 +1,21 @@
 """Reference implementations that the fast paths in ``xplan`` must match
 exactly: the scalar row distance that the encoded kernel replaced, the
 forest's own row encoder that ``num_core.encode`` replaced, the quadratic
-MDL cut search that the one-scan search replaced, and the recursive CART
-grower and predictor that the lockstep forest replaced."""
+MDL cut search that the one-scan search replaced, the recursive CART
+grower and predictor that the lockstep forest replaced, and the row-list
+xtree tree and feature ranking that now read the encoded table."""
 
 import math
 from collections import Counter
 
 import numpy as np
 
-from xplan.data_model import DISCRETE, INDEPENDENT, NUMERIC
-from xplan.discretize import _mdl_accepts
-from xplan.num_core import entropy
+from xplan.data_model import DISCRETE, INDEPENDENT, MINIMIZE_RATE, NUMERIC, dependent_score
+from xplan.decision_tree import MIN_GAIN, TreeNode
+from xplan.discretize import Bin, _mdl_accepts
+from xplan.num_core import DistanceConfig, distance_matrix, entropy
 from xplan.predictor import CLASSIFY
+from xplan.where_cluster import ClusterConfig, centroid_of
 
 
 def normalize_bounds(value, lo, hi):
@@ -221,3 +224,153 @@ def predict(trees, X, mode):
     if mode == CLASSIFY:
         return [v * 2 > len(trees) for v in votes]  # majority of trees
     return [v / len(trees) for v in votes]
+
+
+def variability(column, kind):
+    """Standard deviation (numeric) or entropy (discrete) of a column."""
+    if not column:
+        raise ValueError("variability of an empty column")
+    if kind == NUMERIC:
+        vals = [v for v in column if v is not None]
+        if not vals:
+            return 0.0
+        mean = sum(vals) / len(vals)
+        return math.sqrt(sum((v - mean) ** 2 for v in vals) / len(vals))
+    if kind == DISCRETE:
+        return entropy(Counter(column).values())
+    raise ValueError(f"bad kind {kind!r}")
+
+
+def mdl_bins(column, labels, feature=""):
+    """MDL bins of a numeric column by the quadratic cut search, each with
+    the count and label entropy of the values it contains."""
+    pairs = sorted(zip(column, labels), key=lambda p: p[0])
+    edges = [-math.inf] + find_cuts(pairs) + [math.inf]
+    bins = []
+    for lo, hi in zip(edges, edges[1:]):
+        inside = [lab for v, lab in pairs if lo < v <= hi]
+        bins.append(Bin(feature, lo, hi, entropy(Counter(inside).values()) if inside else 0.0,
+                        len(inside)))
+    return bins
+
+
+def rank_features(train, cluster_ids, beta=0.33):
+    """Features by the expected cluster-id entropy of their bins, from the
+    rows: MDL bins for numerics, one bin per symbol for discretes."""
+    scored = []
+    for f in train.features:
+        if f.role != INDEPENDENT:
+            continue
+        present = [(v, c) for v, c in zip(train.column(f.name), cluster_ids) if v is not None]
+        if f.kind == NUMERIC:
+            stats = [(b.count, b.entropy) for b in mdl_bins(*zip(*present), f.name)] if present else []
+        else:
+            groups = {}
+            for v, c in present:
+                groups.setdefault(v, []).append(c)
+            stats = [(len(labs), entropy(Counter(labs).values())) for labs in groups.values()]
+        total = sum(n for n, _ in stats)
+        scored.append((f.name, sum((n / total) * e for n, e in stats) if total else 0.0))
+    ranking = sorted(scored, key=lambda p: p[1])
+    keep = max(1, round(beta * len(ranking)))
+    return ranking, [name for name, _ in ranking[:keep]]
+
+
+def _dep_labels(train):
+    """Dependent column as class labels for the discretizer."""
+    dep = train.dep_values()
+    if train.objective == MINIMIZE_RATE:
+        return ["t" if v else "f" for v in dep]
+    med = dependent_score(dep, train.objective)
+    return ["hi" if v > med else "lo" for v in dep]
+
+
+def _dep_variability(train, ids):
+    vals = [train.rows[i][train.dep_index] for i in ids]
+    return variability(vals, DISCRETE if train.objective == MINIMIZE_RATE else NUMERIC)
+
+
+def _candidate_split(train, labels, ids, feat):
+    """Partition ids by one feature; returns (conditions, groups) or None.
+
+    Rows with a missing value join the largest group.
+    """
+    col_i = train.index(feat.name)
+    present = [i for i in ids if train.rows[i][col_i] is not None]
+    missing = [i for i in ids if train.rows[i][col_i] is None]
+    if not present:
+        return None
+    if feat.kind == NUMERIC:
+        vals = [train.rows[i][col_i] for i in present]
+        bins = mdl_bins(vals, [labels[i] for i in present], feat.name)
+        if len(bins) < 2:
+            return None
+        conds = bins
+        groups = [[] for _ in bins]
+        for i in present:
+            v = train.rows[i][col_i]
+            for g, b in zip(groups, bins):
+                if b.contains(v):
+                    g.append(i)
+                    break
+    else:
+        by_sym = {}
+        for i in present:
+            by_sym.setdefault(train.rows[i][col_i], []).append(i)
+        if len(by_sym) < 2:
+            return None
+        conds = sorted(by_sym)
+        groups = [by_sym[s] for s in conds]
+    if missing:
+        max(groups, key=len).extend(missing)
+    pairs = [(c, g) for c, g in zip(conds, groups) if g]
+    return ([c for c, _ in pairs], [g for _, g in pairs]) if len(pairs) >= 2 else None
+
+
+def build_tree(train, alpha=None):
+    """xtree's tree grown top-down from the rows; children larger than
+    alpha are re-split."""
+    n = len(train.rows)
+    if n == 0:
+        raise ValueError("empty training data")
+    alpha = ClusterConfig(alpha).resolve_alpha(n)
+    labels = _dep_labels(train)
+
+    def grow(ids, depth, parent):
+        node = TreeNode(
+            members=ids,
+            score=dependent_score([train.rows[i][train.dep_index] for i in ids], train.objective),
+            depth=depth,
+            parent=parent,
+        )
+        here = _dep_variability(train, ids)
+        if len(ids) <= alpha or here <= 0:
+            return node
+        best = None
+        for feat in train.features:
+            if feat.role != INDEPENDENT:
+                continue
+            cand = _candidate_split(train, labels, ids, feat)
+            if cand is None:
+                continue
+            conds, groups = cand
+            spread = sum(
+                len(g) / len(ids) * _dep_variability(train, g) for g in groups
+            )
+            if best is None or spread < best[0]:
+                best = (spread, feat.name, conds, groups)
+        if best is None or here - best[0] <= MIN_GAIN:
+            return node
+        _, fname, conds, groups = best
+        node.split_feature = fname
+        node.branches = [(c, grow(g, depth + 1, node)) for c, g in zip(conds, groups)]
+        return node
+
+    root = grow(list(range(n)), 0, None)
+    leaves = root.leaves()
+    for pos, leaf in enumerate(leaves):
+        leaf.centroid = centroid_of([train.rows[i] for i in leaf.members], train.features)
+        leaf.leaf_pos = pos
+    centroids = [leaf.centroid for leaf in leaves]
+    root.leaf_distances = distance_matrix(centroids, centroids, DistanceConfig.from_dataset(train)).tolist()
+    return root

@@ -19,7 +19,6 @@ from xplan.evaluation import change_frequency, run_repeats
 from xplan.num_core import DistanceConfig, distance, encode
 from xplan.planners import PlannerConfig
 from xplan.predictor import (
-    CLASSIFY,
     ClassifierScore,
     ForestParams,
     gate,
@@ -29,7 +28,7 @@ from xplan.predictor import (
 )
 from xplan.scott_knott import MethodSamples, a12, scott_knott_rank
 from xplan.where_cluster import ClusterConfig, cluster, project
-from tests.conftest import fit_forest, planted_defect_data, two_blob_data
+from tests.conftest import encoded, fit_forest, planted_defect_data, two_blob_data
 
 REPEATS = 40
 FOREST = ForestParams(n_trees=15)
@@ -142,7 +141,7 @@ class TestProjectionIdentities:
         fixtures = [two_blob_data(), planted_defect_data()[0],
                     planted_defect_data(n_train=37)[0]]
         for ds in fixtures:
-            leaves = cluster(ds, ClusterConfig(), random.Random(0))
+            leaves = cluster(ds, ClusterConfig(), random.Random(0), encoded(ds))
             seen = sorted(i for leaf in leaves for i in leaf.members)
             assert seen == list(range(len(ds.rows)))
 
@@ -182,7 +181,7 @@ class TestPredictorSanity:
     def test_single_tree_memorizes_training_data(self):
         for seed in range(3):
             ds = self.separable(seed=seed)
-            _, predict = fit_forest(ds, ForestParams(n_trees=1), CLASSIFY)
+            _, predict = fit_forest(ds, ForestParams(n_trees=1))
             assert predict(ds.rows) == ds.dep_values()
 
     def test_tuned_never_worse_than_default(self):
@@ -193,7 +192,7 @@ class TestPredictorSanity:
         fit, val = split(ds, SplitSpec(seed=3))
 
         def fitness(p):
-            s = score_classifier(val, fit_forest(fit, p, CLASSIFY)[1](val.rows))
+            s = score_classifier(val, fit_forest(fit, p)[1](val.rows))
             pd = 0 if math.isnan(s.pd) else s.pd
             pf = 100 if math.isnan(s.pf) else s.pf
             return pd - pf

@@ -7,9 +7,11 @@ from hypothesis import given, settings, strategies as st
 
 from xplan.data_model import MINIMIZE_RATE, Dataset, FeatureSpec
 from xplan import discretize
-from xplan.discretize import _find_cuts, mdl_discretize, rank_features
+from xplan.discretize import mdl_discretize, rank_features
 from xplan.num_core import entropy
 from tests import oracle
+from tests.conftest import encoded
+from tests.test_decision_tree import tree_cases
 
 
 def mdl_oracle_one_cut(values, labels):
@@ -103,6 +105,11 @@ class TestMdlDiscretize:
             mdl_discretize([1, 2], ["a"], "v")
 
 
+def cuts_of(pairs):
+    """``mdl_discretize``'s cut points on (value, label) pairs."""
+    return [b.hi for b in mdl_discretize([v for v, _ in pairs], [lab for _, lab in pairs])[:-1]]
+
+
 @st.composite
 def sorted_pairs(draw, max_labels, max_n=150, max_top=15):
     """(value, label) pairs sorted by value, over a few distinct values (so
@@ -136,19 +143,19 @@ class TestCutScanMatchesQuadraticSearch:
     @settings(max_examples=300, deadline=None)
     @given(sorted_pairs(max_labels=2))
     def test_two_labels(self, pairs):
-        assert _find_cuts(pairs) == oracle.find_cuts(pairs)
+        assert cuts_of(pairs) == oracle.find_cuts(pairs)
 
     @settings(max_examples=300, deadline=None)
     @given(sorted_pairs(max_labels=40))
     def test_up_to_forty_labels(self, pairs):
-        assert _find_cuts(pairs) == oracle.find_cuts(pairs)
+        assert cuts_of(pairs) == oracle.find_cuts(pairs)
 
     @settings(max_examples=40, deadline=None)
     @given(sorted_pairs(max_labels=64, max_n=3000, max_top=300))
     def test_levels_over_many_scan_blocks(self, pairs):
         # up to 3000 pairs and 64 labels: one level's scan spans several
         # blocks of (cut, label) cells
-        assert _find_cuts(pairs) == oracle.find_cuts(pairs)
+        assert cuts_of(pairs) == oracle.find_cuts(pairs)
 
     def test_large_level_spans_many_blocks(self):
         rng = random.Random(5)
@@ -156,28 +163,28 @@ class TestCutScanMatchesQuadraticSearch:
         pairs = sorted(((v, f"c{int(v) * 64 // 101 if rng.random() < 0.7 else rng.randrange(64)}")
                         for v in values), key=lambda p: p[0])
         assert 3000 * 64 > 8 * discretize._SCAN_CELLS
-        cuts = _find_cuts(pairs)
+        cuts = cuts_of(pairs)
         assert len(cuts) > 10 and cuts == oracle.find_cuts(pairs)
 
     @pytest.mark.parametrize("pairs", SLICE_ORDER_CASES)
     def test_entropy_terms_summed_in_slice_order(self, pairs):
         # here summing the right-hand terms in the labels' order over the
         # whole level, not over the right-hand slice, moves a cut
-        assert _find_cuts(pairs) == oracle.find_cuts(pairs)
+        assert cuts_of(pairs) == oracle.find_cuts(pairs)
 
     @pytest.mark.parametrize("pairs", SLICE_ORDER_CASES)
     def test_slice_order_carried_across_scan_blocks(self, pairs, monkeypatch):
         # one cut per scan block: each block must carry the right side's
         # counts and label order from the blocks after it
         monkeypatch.setattr(discretize, "_SCAN_CELLS", 1)
-        assert _find_cuts(pairs) == oracle.find_cuts(pairs)
+        assert cuts_of(pairs) == oracle.find_cuts(pairs)
 
     def test_planted_scale_column(self):
         rng = random.Random(11)
         values = [rng.uniform(0, 600) for _ in range(1500)]
         labels = ["t" if rng.random() < (0.9 if v > 300 else 0.1) else "f" for v in values]
         pairs = sorted(zip(values, labels), key=lambda p: p[0])
-        cuts = _find_cuts(pairs)
+        cuts = cuts_of(pairs)
         assert cuts and cuts == oracle.find_cuts(pairs)
 
 
@@ -201,23 +208,23 @@ def cluster_fixture():
 class TestRankFeatures:
     def test_separator_beats_constant(self):
         ds, ids = cluster_fixture()
-        ranking = rank_features(ds, ids, beta=0.33)
+        ranking = rank_features(encoded(ds), ids, beta=0.33)
         assert ranking.ranking[0][0] == "x"
         assert ranking.ranking[0][1] == pytest.approx(0.0)  # pure bins
 
     def test_beta_33_of_3_selects_1(self):
         ds, ids = cluster_fixture()
-        ranking = rank_features(ds, ids, beta=0.33)
+        ranking = rank_features(encoded(ds), ids, beta=0.33)
         assert ranking.selected == ["x"]
 
     def test_beta_100_selects_all(self):
         ds, ids = cluster_fixture()
-        ranking = rank_features(ds, ids, beta=1.0)
+        ranking = rank_features(encoded(ds), ids, beta=1.0)
         assert len(ranking.selected) == 3
 
     def test_single_cluster_id_keeps_column_order(self):
         ds, _ = cluster_fixture()
-        ranking = rank_features(ds, ["only"] * len(ds.rows), beta=1.0)
+        ranking = rank_features(encoded(ds), ["only"] * len(ds.rows), beta=1.0)
         assert [name for name, _ in ranking.ranking] == ["x", "z", "o"]
         assert all(score == 0 for _, score in ranking.ranking)
 
@@ -230,7 +237,7 @@ class TestRankFeatures:
         rows = [[float(i), float(i), False] for i in range(20)]
         ds = Dataset(feats, rows, MINIMIZE_RATE)
         ids = ["c0" if i < 10 else "c1" for i in range(20)]
-        ranking = rank_features(ds, ids, beta=1.0)
+        ranking = rank_features(encoded(ds), ids, beta=1.0)
         assert [name for name, _ in ranking.ranking] == ["a", "b"]
         assert ranking.ranking[0][1] == ranking.ranking[1][1]
 
@@ -245,5 +252,30 @@ class TestRankFeatures:
             rows.append([0.0 if low else 50.0] + [rng.random() for _ in range(5)] + [False])
             ids.append("c0" if low else "c1")
         ds = Dataset(feats, rows, MINIMIZE_RATE)
-        ranking = rank_features(ds, ids, beta=0.33)
+        ranking = rank_features(encoded(ds), ids, beta=0.33)
         assert ranking.ranking[0][0] == "sep"
+
+
+@st.composite
+def ranking_cases(draw):
+    """A table as xtree's property draws it, with cluster ids that follow
+    bands of its first feature's encoded values, with some noise."""
+    train, _, _ = draw(tree_cases())
+    k = draw(st.integers(1, 6))
+    noise = draw(st.sampled_from([0.0, 0.3]))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    ids = [int(x // 4) % k if abs(x) < 1e300 and rng.random() >= noise else rng.randrange(k)
+           for x in encoded(train).cols[0]]  # NaN fails the bound test
+    return train, ids, draw(st.sampled_from([0.33, 0.5, 1.0]))
+
+
+class TestRankingMatchesRowListReference:
+    """The ranking read from the encoded table equals the row-list reference:
+    scores bit for bit, order and selection."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(ranking_cases())
+    def test_equal_rankings(self, case):
+        train, ids, beta = case
+        got = rank_features(encoded(train), ids, beta)
+        assert (got.ranking, got.selected) == oracle.rank_features(train, ids, beta)

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from xplan.data_model import MINIMIZE_RATE, Dataset, FeatureSpec
-from xplan.num_core import DistanceConfig, distance, distance_matrix, encode, variability
+from xplan.num_core import DistanceConfig, distance, distance_matrix, encode
 from tests import oracle
+from tests.oracle import variability
 
 
 def make_ds(kinds, rows, weights=None):

@@ -9,7 +9,7 @@ from xplan.data_model import (
     Dataset,
     FeatureSpec,
 )
-from xplan.decision_tree import build_tree, locate_leaf
+from xplan.decision_tree import locate_leaf
 from xplan.discretize import FeatureRanking
 from xplan.num_core import DistanceConfig, distance, encode
 from xplan.planners import (
@@ -31,6 +31,7 @@ from xplan.planners import (
     plan_xtree,
 )
 from xplan.where_cluster import ClusterConfig, ClusterSummary, cluster
+from tests.conftest import tree_of
 
 
 def two_cluster_fixture():
@@ -181,7 +182,7 @@ def xtree_fixture():
 class TestPlanXtree:
     def test_bad_row_gets_range_sample_toward_good_branch(self):
         ds = xtree_fixture()
-        tree = build_tree(ds)
+        tree = tree_of(ds)
         cfg = PlannerConfig(gamma=0.5)
         z = [550.0, 45.0, True]
         plan = plan_xtree(tree, z, cfg, random.Random(1), ds)
@@ -195,7 +196,7 @@ class TestPlanXtree:
 
     def test_good_row_empty_plan(self):
         ds = xtree_fixture()
-        tree = build_tree(ds)
+        tree = tree_of(ds)
         cfg = PlannerConfig(gamma=0.5)
         good = [50.0, 5.0, False]
         leaf = locate_leaf(tree, good, ds)
@@ -205,14 +206,14 @@ class TestPlanXtree:
 
     def test_no_qualifying_sibling_anywhere_is_empty(self):
         ds = xtree_fixture()
-        tree = build_tree(ds)
+        tree = tree_of(ds)
         plan = plan_xtree(tree, [550.0, 45.0, True], PlannerConfig(gamma=1e-9),
                           random.Random(1), ds)
         assert plan.empty
 
     def test_draw_is_seeded_and_reproducible(self):
         ds = xtree_fixture()
-        tree = build_tree(ds)
+        tree = tree_of(ds)
         cfg = PlannerConfig()
         p1 = plan_xtree(tree, [550.0, 45.0, True], cfg, random.Random(9), ds)
         p2 = plan_xtree(tree, [550.0, 45.0, True], cfg, random.Random(9), ds)
@@ -220,7 +221,7 @@ class TestPlanXtree:
 
     def test_deltas_only_from_branch_paths(self):
         ds = xtree_fixture()
-        tree = build_tree(ds)
+        tree = tree_of(ds)
         plan = plan_xtree(tree, [550.0, 45.0, True], PlannerConfig(), random.Random(1), ds)
         assert set(plan.features()) <= {"loc", "wmc"}
 

@@ -62,38 +62,40 @@ def score_ds(actuals):
 class TestForest:
     def test_single_tree_memorizes_separable_data(self):
         ds = separable_ds()
-        _, predict = fit_forest(ds, ForestParams(n_trees=1), CLASSIFY)
+        _, predict = fit_forest(ds, ForestParams(n_trees=1))
         assert predict(ds.rows) == ds.dep_values()
 
     def test_same_seed_same_predictions(self):
         ds = separable_ds()
-        _, p1 = fit_forest(ds, ForestParams(n_trees=10, seed=5), CLASSIFY)
-        _, p2 = fit_forest(ds, ForestParams(n_trees=10, seed=5), CLASSIFY)
+        _, p1 = fit_forest(ds, ForestParams(n_trees=10, seed=5))
+        _, p2 = fit_forest(ds, ForestParams(n_trees=10, seed=5))
         assert p1(ds.rows) == p2(ds.rows)
 
     def test_all_true_training_predicts_true(self):
         feats = [FeatureSpec("x"), FeatureSpec("bug", role="dependent")]
         ds = Dataset(feats, [[float(i), True] for i in range(10)], MINIMIZE_RATE)
-        _, predict = fit_forest(ds, ForestParams(n_trees=5), CLASSIFY)
+        _, predict = fit_forest(ds, ForestParams(n_trees=5))
         assert all(predict(ds.rows))
 
     def test_regressor_tracks_signal(self):
         ds = runtime_ds()
         tr, te = split(ds, SplitSpec(seed=2))
-        _, predict = fit_forest(tr, ForestParams(n_trees=30), REGRESS)
+        _, predict = fit_forest(tr, ForestParams(n_trees=30))
         assert score_regressor(te, predict(te.rows)).s > 0.9
 
     def test_mode_type_checks(self):
-        with pytest.raises(ValueError):
-            fit_forest(runtime_ds(), ForestParams(n_trees=2), CLASSIFY)
-        with pytest.raises(ValueError):
-            fit_forest(separable_ds(), ForestParams(n_trees=2), REGRESS)
+        # the objective sets the mode; a dependent of the other type is rejected
+        runtime, defects = runtime_ds(), separable_ds()
+        with pytest.raises(ValueError, match="classification needs a boolean dependent"):
+            fit_forest(Dataset(runtime.features, runtime.rows, MINIMIZE_RATE), ForestParams(n_trees=2))
+        with pytest.raises(ValueError, match="regression needs a numeric dependent"):
+            fit_forest(Dataset(defects.features, defects.rows, MINIMIZE_VALUE), ForestParams(n_trees=2))
 
     def test_empty_training_rejected(self):
         feats = [FeatureSpec("x"), FeatureSpec("bug", role="dependent")]
         ds = Dataset(feats, [], MINIMIZE_RATE)
         with pytest.raises(ValueError):
-            fit_forest(ds, ForestParams(n_trees=1), CLASSIFY)
+            fit_forest(ds, ForestParams(n_trees=1))
 
 
 def nested(trees, node):
@@ -336,7 +338,7 @@ class TestSingleEncoding:
         cfg = DistanceConfig.from_dataset(train)
         encoded = encode(train.rows, cfg)
         early = encode(probes, cfg)
-        _, _, X, fill, unseen = forest_input(train, encoded, CLASSIFY)
+        _, _, X, fill, unseen = forest_input(train, encoded)
         assert np.array_equal(X, ref.transform(train.rows))
         assert np.array_equal(predictor._filled(early, fill, unseen), ref.transform(probes))
         # the probes' new symbols take codes of their own, read as the fill
@@ -350,7 +352,7 @@ class TestSingleEncoding:
         cfg = DistanceConfig.from_dataset(train)
         encoded = encode(train.rows, cfg)
         probes = encode([["aix", True], ["mac", False]], cfg)  # "aix" takes code 3 here
-        _, _, X, fill, unseen = forest_input(train, encoded, CLASSIFY)
+        _, _, X, fill, unseen = forest_input(train, encoded)
         assert X[:, 0].tolist() == [1.0, 0.0, 2.0, 1.0]  # the gap takes the median code
         assert predictor._filled(probes, fill, unseen)[:, 0].tolist() == [1.0, 2.0]
 
@@ -383,9 +385,7 @@ class TestScores:
         feats = [FeatureSpec("x"), FeatureSpec("rt", role="dependent")]
         ds = Dataset(feats, [[0.0, 100.0], [1.0, 10.0]], MINIMIZE_VALUE)
         sc = score_regressor(ds, [50.0, 10.0])
-        assert sc.per_item[0] == pytest.approx(0.5)
-        assert sc.per_item[1] == pytest.approx(1.0)
-        assert sc.s == pytest.approx(0.75)
+        assert sc.s == (0.5 + 1.0) / 2  # 1 - |100 - 50| / 100 and 1 - |10 - 10| / 10
 
     def test_zero_actual_excluded_with_warning(self):
         feats = [FeatureSpec("x"), FeatureSpec("rt", role="dependent")]
@@ -489,7 +489,7 @@ class TestTuneDe:
 
         fit, val = split(ds, SplitSpec(seed=3))
         def fitness(p):
-            s = sc(val, fit_forest(fit, p, CLASSIFY)[1](val.rows))
+            s = sc(val, fit_forest(fit, p)[1](val.rows))
             return (0 if math.isnan(s.pd) else s.pd) - (100 if math.isnan(s.pf) else s.pf)
 
         default = ForestParams(max_depth=30, features_per_split=2, seed=3)
