@@ -2,8 +2,8 @@
 
 The pipeline: load a dataset, split into train/test, train a quality
 predictor (random forest), cluster or tree the training data, emit a plan
-per test row, re-predict, and report after/before ratios ranked with a
-Scott-Knott test.
+per test row, re-predict the rows the plans changed, and report
+after/before ratios ranked with a Scott-Knott test.
 """
 
 from xplan.data_model import Dataset, FeatureSpec, SplitSpec, load_csv, load_schema, split

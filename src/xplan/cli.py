@@ -197,7 +197,7 @@ def cmd_plan(method, rows, seed, **shared):
         _gate_failed(exc.score)
     for m in methods:
         for i in selected:
-            plan = arts.planners[m](i, random.Random(f"{seed}:{i}"))
+            plan = arts.planners[m](i)
             click.echo(json.dumps({"row": i, **plan.to_json()}, sort_keys=True))
 
 

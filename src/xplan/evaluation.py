@@ -4,10 +4,13 @@ One experiment plans every test row with one method and reports
 R = after/before, where "before" is the predicted defect count (or
 predicted runtime sum) on the untouched test rows and "after" the same
 statistic on the changed rows. The repeats run seed by seed: each seed
-trains one forest on the train split, checks it against the test split
-(aborting when it is not good enough to judge plans) and builds the
-training-side planner artifacts, which every method of that seed shares.
-Artifacts that no seed changes are built once per run.
+trains one forest on the train split, predicts the test split once to
+check it (aborting when it is not good enough to judge plans) and builds
+the training-side planner artifacts, which every method of that seed
+shares. An experiment re-predicts and measures only the rows its plans
+moved; every other row keeps the seed's prediction and its nearest
+distance, which no seed changes. Artifacts that no seed changes are built
+once per run.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import numpy as np
 from xplan.data_model import DataError, read_lines
 from xplan.discretize import rank_features
 from xplan.decision_tree import build_tree
-from xplan.num_core import DistanceConfig, distance, encode
+from xplan.num_core import DistanceConfig, distance, encode, squared_distance
 from xplan.planners import (
     Plan,
     apply_plan,
@@ -141,9 +144,9 @@ class RunArtifacts:
         return nearest_distances(self.encoded_train, self.encoded_test)
 
     def for_seed(self, seed, methods):
-        """Fit and gate this seed's forest, predict the untouched test rows
-        once, and build a per-row planner for each method; raises GateError
-        when the forest is too weak to judge plans."""
+        """Fit and gate this seed's forest on its predictions for the
+        untouched test rows, and build a per-row planner for each method;
+        raises GateError when the forest is too weak to judge plans."""
         unknown = [m for m in methods if m not in ALL_METHODS]
         if unknown:
             raise ValueError(f"unknown method {unknown[0]!r}")
@@ -153,18 +156,19 @@ class RunArtifacts:
         if not gate(score):
             raise GateError(score)
         before = _total(model.mode, predicted)
-        return SeedArtifacts(self, seed, model, before, self._planners(seed, methods))
+        return SeedArtifacts(self, seed, model, predicted, before, self._planners(seed, methods))
 
     def _planners(self, seed, methods):
-        """Per-row plan functions ``(test row index, row_rng) -> Plan``. cd,
-        cdfs and bic share one clustering of this seed and the test rows'
-        centroid distances, cdfs and bic one ranking; cdfs filters cd's plans."""
+        """Per-row plan functions ``test row index -> Plan``. xtree draws its
+        samples from the row's own ``random.Random(f"{seed}:{i}")``. cd, cdfs
+        and bic share one clustering of this seed and the test rows' centroid
+        distances, cdfs and bic one ranking; cdfs filters cd's plans."""
         train, test, cfg = self.train, self.test, self.cfg
         wanted = set(methods)
-        planners = {"identity": lambda i, row_rng: Plan([], "identity")}
+        planners = {"identity": lambda i: Plan([], "identity")}
         if "xtree" in wanted:
             tree = self.tree
-            planners["xtree"] = lambda i, row_rng: plan_xtree(tree, test.rows[i], cfg, row_rng, train)
+            planners["xtree"] = lambda i: plan_xtree(tree, test.rows[i], cfg, random.Random(f"{seed}:{i}"), train)
         if wanted & {"cd", "cdfs", "bic"}:
             rng = random.Random(f"{seed}:artifacts")
             clusters = cluster(train, ClusterConfig(cfg.alpha), rng, self.encoded_train)
@@ -173,67 +177,74 @@ class RunArtifacts:
         if wanted & {"cd", "cdfs"}:
             targets = cd_targets(clusters, centroids)
             cd_plans = [plan_cd(clusters, targets, d, train) for d in to_centroids]
-            planners["cd"] = lambda i, row_rng: cd_plans[i]
+            planners["cd"] = lambda i: cd_plans[i]
         if wanted & {"cdfs", "bic"}:
             ids = {i: c.index for c in clusters for i in c.members}
             ranking = rank_features(self.encoded_train, [ids[i] for i in range(len(train.rows))], cfg.beta)
         if "cdfs" in wanted:
-            planners["cdfs"] = lambda i, row_rng: plan_cdfs(cd_plans[i], ranking)
+            planners["cdfs"] = lambda i: plan_cdfs(cd_plans[i], ranking)
         if "bic" in wanted:
             gradients = bic_gradients(clusters, centroids)
-            planners["bic"] = lambda i, row_rng: plan_bic(gradients, ranking, test.rows[i],
-                                                          to_centroids[i], train)
+            planners["bic"] = lambda i: plan_bic(gradients, ranking, test.rows[i], to_centroids[i], train)
         return planners
 
 
 @dataclass
 class SeedArtifacts:
     """What every method of one seed shares: the gated forest, its
-    prediction for the untouched test rows and the per-row planners."""
+    predictions for the untouched test rows and their total, and the
+    per-row planners."""
 
     run: RunArtifacts
     seed: int
     model: ForestModel
+    predicted: list  # per test row
     before: float
-    planners: dict  # method -> (test row index, row_rng) -> Plan
+    planners: dict  # method -> test row index -> Plan
 
 
 def nearest_distances(train, rows):
     """Distance from each encoded row to its nearest encoded training row: the
-    full matrix's minima, over blocks of at most ``_BLOCK_CELLS`` cells (or one row)."""
+    full matrix's minima, over blocks of at most ``_BLOCK_CELLS`` cells (or one
+    row). Only the minima are rooted: the root is monotone and correctly
+    rounded, so the root of a minimum is the minimum of the roots."""
     nearest = np.empty(len(rows))
     step = max(1, _BLOCK_CELLS // max(1, len(train)))
     for lo in range(0, len(rows), step):
-        nearest[lo:lo + step] = distance(rows.take(slice(lo, lo + step)), train).min(axis=1)
-    return nearest
+        nearest[lo:lo + step] = squared_distance(rows.take(slice(lo, lo + step)), train).min(axis=1)
+    return np.sqrt(nearest, out=nearest)
 
 
-def trust_report(train, test, changed, before):
-    """Mean distance to the nearest of the encoded training rows before
-    and after the changes, from the encoded test rows and changed rows.
-
-    ``before`` holds the nearest distances of ``test``; a changed row
-    equal to its test row keeps that distance, the others are measured.
-    """
-    after = before.copy()
+def moved_rows(test, changed):
+    """Positions of the encoded changed rows that differ from their encoded
+    test rows (a missing cell equals a missing cell)."""
     same = (test.cols == changed.cols) | (np.isnan(test.cols) & np.isnan(changed.cols))
-    moved = np.flatnonzero(~same.all(axis=0))
-    after[moved] = nearest_distances(train, changed.take(moved))
+    return np.flatnonzero(~same.all(axis=0))
+
+
+def trust_report(train, moved, rows, before):
+    """Mean distance to the nearest of the encoded training rows before
+    and after the changes. ``before`` holds each test row's nearest
+    distance; the changed rows at positions ``moved``, encoded as
+    ``rows``, are measured, and every other row keeps its distance."""
+    after = before.copy()
+    after[moved] = nearest_distances(train, rows)
     return TrustReport(float(np.mean(before)), float(np.mean(after)))
 
 
 def run_experiment(train, test, method, arts):
     """Plan every test row with one method from one seed's shared
-    artifacts (built from this train/test split), re-predict the changed
-    rows and report the ratio, plan counts and trust."""
+    artifacts (built from this train/test split), re-predict the rows the
+    plans moved and report the ratio, plan counts and trust. A row's
+    prediction does not depend on the other rows predicted with it, so an
+    unmoved row keeps the seed's prediction bit for bit."""
     run, seed = arts.run, arts.seed
     planner = arts.planners[method]
     changed = []
     emitted = empty = 0
     touched = set()
     for i, z in enumerate(test.rows):
-        row_rng = random.Random(f"{seed}:{i}")
-        plan = planner(i, row_rng)
+        plan = planner(i)
         if not plan.empty:
             candidate = apply_plan(z, plan, train)
             if run.fm is not None and check_constraints(candidate, run.fm, train):
@@ -249,11 +260,16 @@ def run_experiment(train, test, method, arts):
             empty += 1
         changed.append(candidate)
 
-    before = arts.before
+    before, predicted = arts.before, list(arts.predicted)
     encoded = encode(changed, run.dcfg)
-    after = _total(arts.model.mode, arts.model.predict(encoded))
+    moved = moved_rows(run.encoded_test, encoded)
+    rows = encoded.take(moved)
+    if len(moved):  # identity moves none
+        for i, p in zip(moved.tolist(), arts.model.predict(rows)):
+            predicted[i] = p
+    after = _total(arts.model.mode, predicted)
     ratio = after / before if before > 0 else math.nan
-    trust = trust_report(run.encoded_train, run.encoded_test, encoded, run.nearest)
+    trust = trust_report(run.encoded_train, moved, rows, run.nearest)
     return ExperimentResult(
         method=method,
         seed=seed,

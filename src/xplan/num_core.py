@@ -113,8 +113,8 @@ def encode(rows, cfg):
     return Encoded(cfg, cols)
 
 
-def distance(a, b):
-    """All pairwise distances between two encoded tables, as a
+def squared_distance(a, b):
+    """All pairwise squared distances between two encoded tables, as a
     (len(a), len(b)) array. Each cell is summed feature by feature in
     schema order, exactly as a scalar loop over one pair would sum it: a
     weight of 1 multiplies nothing, and a signed difference squares as its
@@ -141,6 +141,13 @@ def distance(a, b):
             term = w * d
             term *= d
             total += term
+    return total
+
+
+def distance(a, b):
+    """All pairwise distances between two encoded tables: the roots of
+    ``squared_distance``."""
+    total = squared_distance(a, b)
     return np.sqrt(total, out=total)
 
 

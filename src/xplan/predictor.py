@@ -22,7 +22,8 @@ splits: each step is array work over all trees (their stacks, the split
 search over rows sorted by dense value ranks, the partitions), with no
 Python loop over nodes. Level-wise growth (another draw order) or
 histogram splits (as in LightGBM: binned thresholds) would change the
-forest.
+forest. Each tree keeps its own depth, and a prediction walks each tree
+that deep and no deeper.
 """
 
 from __future__ import annotations
@@ -92,12 +93,14 @@ def _rank_keys(X):
 
 
 def _best_splits(keys, y, idx, inside, feats, size, mode, min_leaf, values):
-    """(found, feature, threshold) of each node's best split.
-    Line i of ``idx`` holds node i's rows, padded after ``size[i]`` cells.
-    Each line sorts by (rank, position) keys: unique, so any sort gives the
-    order of a stable sort by value. Padding sorts last and adds 0 to the
-    cumsums, so every prefix sum, impurity, tie-break and midpoint equals a
-    search over the node alone."""
+    """(found, feature, threshold, cut, left, total) of each node's best
+    split: the rows the cut puts on its left side, the sum of their targets
+    (both 0 when no split is found) and the sum over the node, read off the
+    prefix sums. Line i of ``idx`` holds node i's rows, padded after
+    ``size[i]`` cells. Each line sorts by (rank, position) keys: unique, so
+    any sort gives the order of a stable sort by value. Padding sorts last
+    and adds 0 to the cumsums, so every prefix sum, impurity, tie-break and
+    midpoint equals a search over the node alone."""
     (n_nodes, k), width = feats.shape, idx.shape[1]
     pad, shift = values.shape[1] - 1, (width - 1).bit_length()
     dtype = key_dtype((pad << shift) | (width - 1))
@@ -135,14 +138,15 @@ def _best_splits(keys, y, idx, inside, feats, size, mode, min_leaf, values):
     j = np.argmin(imp[line, cut].reshape(n_nodes, k), axis=1)
     best = np.arange(n_nodes) * k + j  # first best feature in drawn order
     p, feat = cut[best] + 1, feats[np.arange(n_nodes), j]
-    return (~invalid[best].all(axis=1), feat,
-            (values[feat, ranks[best, p - 1]] + values[feat, ranks[best, p]]) / 2)
+    found = ~invalid[best].all(axis=1)
+    return (found, feat, (values[feat, ranks[best, p - 1]] + values[feat, ranks[best, p]]) / 2,
+            np.where(found, p, 0), np.where(found, csum[best, p - 1], 0.0), csum[best, size - 1])
 
 
-def _side_stats(y_rows, side):
-    """Per split, the sum of one side's targets and whether all equal its first."""
+def _all_equal(y_rows, side):
+    """Per split, whether all of one side's targets equal its first."""
     first = y_rows[np.arange(len(side)), side.argmax(axis=1)][:, None]
-    return np.where(side, y_rows, 0.0).sum(axis=1), ((y_rows == first) | ~side).all(axis=1)
+    return ((y_rows == first) | ~side).all(axis=1)
 
 
 @dataclass
@@ -155,7 +159,7 @@ class Trees:
     left: np.ndarray       # int32 node ids
     right: np.ndarray
     value: np.ndarray      # leaf value: majority class 0.0/1.0, or mean
-    depth: int = 0         # most splits on a root-to-leaf path
+    depth: np.ndarray      # per tree: most splits on a root-to-leaf path
     size: int = 0          # nodes in use; the arrays may hold more
 
     def add(self, count):
@@ -433,7 +437,8 @@ def _grow_trees(X, y, mode, params):
     pure = (y[samples] == y[samples[:, :1]]).all(axis=1)
     draws = _FeatureDraws(streams, f_total, k)
     keys, values = _rank_keys(X)
-    trees = Trees(*(np.zeros(0, dtype) for dtype in (np.int32, float, np.int32, np.int32, float)))
+    trees = Trees(*(np.zeros(0, dtype) for dtype in (np.int32, float, np.int32, np.int32, float)),
+                  np.zeros(n_trees, int))
     stack, top = np.zeros((4, n_trees, 8), int), np.zeros(n_trees, int)  # node, start, size, depth
     leaves = []  # regression leaves: node, first cell in rows, size
 
@@ -470,7 +475,8 @@ def _grow_trees(X, y, mode, params):
             inside = at < size[c, None]
             cell = np.where(inside, (tree[c] * n + start[c])[:, None] + at, 0)
             idx = rows[cell]
-            found, feat, thr = _best_splits(keys, y, idx, inside, feats[c], size[c], mode, min_leaf, values)
+            found, feat, thr, cut, l_total, total = _best_splits(keys, y, idx, inside, feats[c], size[c],
+                                                                 mode, min_leaf, values)
             go = (X[idx, feat[:, None]] <= thr[:, None]) & inside & found[:, None]
             right = inside & ~go
             # stable partition of each node's slice: left child first, both in
@@ -479,13 +485,25 @@ def _grow_trees(X, y, mode, params):
             n_left = to_left[:, -1]
             dest = np.where(go, to_left, n_left[:, None] + np.cumsum(right, axis=1)) - 1
             rows[(cell[:, :1] + dest)[inside]] = idx[inside]
-            y_rows = y[idx]
-            sides.append((found, n_left, *_side_stats(y_rows, go), *_side_stats(y_rows, right)))
+            if mode == CLASSIFY:  # a side of 0/1 targets is pure when they sum to 0 or to its size
+                # a midpoint that rounds onto the value above the cut (adjacent floats)
+                # sends that value's rows left too
+                odd = n_left != cut
+                if odd.any():
+                    l_total[odd] = np.where(go[odd], y[idx[odd]], 0.0).sum(axis=1)
+                r_total = total - l_total
+                l_pure = (l_total == 0) | (l_total == n_left)
+                r_pure = (r_total == 0) | (r_total == size[c] - n_left)
+            else:  # settle reads no regression totals
+                y_rows, r_total = y[idx], total - l_total
+                l_pure, r_pure = _all_equal(y_rows, go), _all_equal(y_rows, right)
+            sides.append((found, n_left, l_total, l_pure, r_total, r_pure))
             parent = node[c[found]]
             trees.feature[parent], trees.threshold[parent] = feat[found], thr[found]
             trees.left[parent], trees.right[parent] = trees.add(len(parent)), trees.add(len(parent))
         found, n_left, l_total, l_pure, r_total, r_pure = (np.concatenate(a) for a in zip(*sides))
-        trees.depth = max(trees.depth, int(depth[found].max(initial=-1)) + 1)
+        split_trees = tree[found]  # each named once
+        trees.depth[split_trees] = np.maximum(trees.depth[split_trees], depth[found] + 1)
         # right before left on each stack, so the left subtree is grown first;
         # a node left unsplit is its own right child, a leaf of all its rows
         settle(trees.right[node], tree, start + n_left, size - n_left, depth + 1, r_total, r_pure | ~found)
@@ -514,18 +532,25 @@ class ForestModel:
 
     def predict(self, table):
         """Predictions for a table encoded with the training rows' config:
-        every tree walks a block of rows at once, one level per pass."""
+        the trees walk a block of rows at once, one level per pass, and
+        pass d moves only the trees deeper than d (the deepest first). A
+        row's votes add up in tree order, whatever the other rows of its
+        block."""
         X, t, n_trees = _filled(table, self.fill, self.unseen), self.trees, self.params.n_trees
+        order = np.argsort(-t.depth, kind="stable").astype(np.int32)
+        walked = np.count_nonzero(t.depth[:, None] > np.arange(t.depth.max()), axis=0).tolist()
         votes = np.zeros(len(X))
         step = max(1, _CELL_CAP // n_trees)
         for lo in range(0, len(X), step):
             at = np.arange(lo, min(lo + step, len(X)))
-            node = np.repeat(np.arange(n_trees, dtype=np.int32)[:, None], len(at), axis=1)
-            for _ in range(t.depth):
-                node = np.where(X[at, t.feature[node]] <= t.threshold[node], t.left[node], t.right[node])
-            block = votes[lo:lo + step]
-            for leaf_values in t.value[node]:  # in tree order, as the regression mean sums
-                block += leaf_values
+            node = np.repeat(order[:, None], len(at), axis=1)
+            for k in walked:  # the first k trees of ``order`` are deeper than this pass
+                walk = node[:k]
+                node[:k] = np.where(X[at, t.feature[walk]] <= t.threshold[walk], t.left[walk], t.right[walk])
+            leaf = np.empty_like(node)
+            leaf[order] = node
+            # in tree order, as the regression mean sums, and added to 0.0 as a loop from 0.0 adds
+            votes[lo:lo + step] += np.cumsum(t.value[leaf], axis=0)[-1]
         if self.mode == CLASSIFY:
             return [v * 2 > n_trees for v in votes]  # majority of trees
         return [v / n_trees for v in votes]
@@ -535,6 +560,15 @@ def _filled(table, fill, unseen):
     """The (rows x features) matrix the trees split."""
     X = table.cols.T
     return np.where(np.isnan(X) | (X >= unseen), fill, X)
+
+
+def _median(values):
+    """``np.median`` of a non-empty array: the middle value, or the mean of
+    the two middle values, taken as halves when their sum overflows."""
+    ordered = np.sort(values)
+    a, b = float(ordered[(len(ordered) - 1) // 2]), float(ordered[len(ordered) // 2])
+    mean = (a + b) / 2  # a Python float sum overflows to inf without a warning
+    return a / 2 + b / 2 if math.isinf(mean) else mean
 
 
 def forest_input(train, encoded):
@@ -552,7 +586,7 @@ def forest_input(train, encoded):
     if mode == REGRESS and any(isinstance(v, bool) for v in dep):
         raise ValueError("regression needs a numeric dependent")
     present = ~np.isnan(encoded.cols)
-    fill = np.array([float(np.median(c[p])) if p.any() else 0.0 for c, p in zip(encoded.cols, present)])
+    fill = np.array([_median(c[p]) if p.any() else 0.0 for c, p in zip(encoded.cols, present)])
     unseen = np.array([(c[p].max() + 1 if p.any() else 0.0) if kind == DISCRETE else math.nan
                        for c, p, kind in zip(encoded.cols, present, encoded.cfg.kinds)])
     y = np.array([float(v) for v in dep])

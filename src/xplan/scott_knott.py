@@ -9,8 +9,8 @@ a rank.
 
 from __future__ import annotations
 
+import math
 import random
-import statistics
 from dataclasses import asdict, dataclass
 
 BOOTSTRAPS = 512
@@ -25,16 +25,36 @@ class MethodSamples:
 
     @property
     def median(self):
-        return statistics.median(self.values)
+        return median(self.values)
+
+
+# fmean, median and quartiles take the float steps of the ``statistics``
+# functions they stand for; that module loads ``fractions`` and ``decimal``
+
+def fmean(xs):
+    """``statistics.fmean`` of a non-empty list: its exactly rounded sum over its length."""
+    return math.fsum(xs) / len(xs)
+
+
+def median(values):
+    """``statistics.median``: the middle value, or the mean of the two middle values."""
+    vals = sorted(values)
+    i = len(vals) // 2
+    return vals[i] if len(vals) % 2 else (vals[i - 1] + vals[i]) / 2
 
 
 def quartiles(values):
+    """Q1 and Q3 of ``statistics.quantiles(values, n=4, method="inclusive")``,
+    or the one value twice."""
     vals = sorted(values)
-    n = len(vals)
-    if n == 1:
+    if len(vals) == 1:
         return vals[0], vals[0]
-    q = statistics.quantiles(vals, n=4, method="inclusive")
-    return q[0], q[2]
+
+    def cut(i):  # interpolated at i quarters of the way from the lowest to the highest
+        j, delta = divmod(i * (len(vals) - 1), 4)
+        return (vals[j] * (4 - delta) + vals[j + 1] * delta) / 4
+
+    return cut(1), cut(3)
 
 
 def a12(m, n):
@@ -55,14 +75,14 @@ def bootstrap_test(m, n, b=BOOTSTRAPS, conf=CONFIDENCE, rng=None):
     Returns True when the samples look different at the given confidence.
     """
     rng = rng or random.Random(1)
-    obs = abs(statistics.fmean(m) - statistics.fmean(n))
+    obs = abs(fmean(m) - fmean(n))
     if obs == 0:
         return False
     pool = list(m) + list(n)
     hits = 0
     for _ in range(b):
-        ym = statistics.fmean(rng.choice(pool) for _ in range(len(m)))
-        yn = statistics.fmean(rng.choice(pool) for _ in range(len(n)))
+        ym = fmean([rng.choice(pool) for _ in range(len(m))])
+        yn = fmean([rng.choice(pool) for _ in range(len(n))])
         if abs(ym - yn) >= obs:
             hits += 1
     return hits / b < 1 - conf
@@ -106,14 +126,14 @@ def scott_knott_rank(samples, rng=None):
             groups.append(methods)
             return
         flat = [v for s in methods for v in s.values]
-        mu = statistics.fmean(flat)
+        mu = fmean(flat)
         best = None
         for cut in range(1, len(methods)):
             left = [v for s in methods[:cut] for v in s.values]
             right = [v for s in methods[cut:] for v in s.values]
             e = (
-                len(left) / len(flat) * (statistics.fmean(left) - mu) ** 2
-                + len(right) / len(flat) * (statistics.fmean(right) - mu) ** 2
+                len(left) / len(flat) * (fmean(left) - mu) ** 2
+                + len(right) / len(flat) * (fmean(right) - mu) ** 2
             )
             if best is None or e > best[0]:
                 best = (e, cut, left, right)

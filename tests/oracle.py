@@ -226,6 +226,18 @@ def predict(trees, X, mode):
     return [v / len(trees) for v in votes]
 
 
+def tree_depths(trees, n_trees):
+    """Each tree's most splits on a root-to-leaf path, walked on the flat
+    node arrays of ``predictor.Trees`` (tree t's root is node t, a leaf is
+    its own left child)."""
+    def depth(node):
+        if trees.left[node] == node:
+            return 0
+        return 1 + max(depth(trees.left[node]), depth(trees.right[node]))
+
+    return [depth(t) for t in range(n_trees)]
+
+
 def variability(column, kind):
     """Standard deviation (numeric) or entropy (discrete) of a column."""
     if not column:

@@ -221,7 +221,8 @@ class TestEval:
     def test_eval_loads_no_numpy_random_nor_openssl(self, workdir, tmp_path):
         # the forest replays each tree's PCG64 stream itself: numpy.random
         # would load secrets, hashlib and OpenSSL's libcrypto, several MB
-        # of resident memory
+        # of resident memory; Scott-Knott takes its means and quartiles
+        # itself: statistics would load fractions and decimal
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
         script = ("import sys\n"
@@ -230,7 +231,8 @@ class TestEval:
                   "    main(sys.argv[1:])\n"
                   "except SystemExit as exc:\n"
                   "    assert not exc.code, exc.code\n"
-                  "print(sorted({'numpy.random', 'secrets', '_hashlib'} & set(sys.modules)))\n")
+                  "print(sorted({'numpy.random', 'secrets', '_hashlib', 'statistics', 'fractions',\n"
+                  "              'decimal'} & set(sys.modules)))\n")
         proc = subprocess.run([sys.executable, "-c", script, "eval", *base_args(
             workdir, "--methods", "identity,xtree", "--out", str(tmp_path / "r"))],
             capture_output=True, text=True, env=env)

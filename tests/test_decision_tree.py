@@ -1,7 +1,6 @@
 import math
 import random
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from xplan.data_model import (
@@ -233,9 +232,6 @@ class TestTreeMatchesRowListReference:
     field by field: members and their order, scores, depths, conditions,
     centroids, leaf positions and leaf distances."""
 
-    # forest_input's fill median of a column holding 1e308 and 1.7e308
-    # overflows; the tree reads only its targets
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @settings(max_examples=150, deadline=None)
     @given(tree_cases())
     def test_equal_trees(self, case):

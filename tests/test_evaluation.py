@@ -15,6 +15,7 @@ from xplan.evaluation import (
     RunArtifacts,
     change_frequency,
     method_samples,
+    moved_rows,
     nearest_distances,
     read_jsonl,
     run_experiment,
@@ -23,7 +24,7 @@ from xplan.evaluation import (
     write_csv_summary,
     write_jsonl,
 )
-from xplan.num_core import DistanceConfig, distance, encode
+from xplan.num_core import DistanceConfig, distance, encode, squared_distance
 from xplan.planners import PlannerConfig
 from xplan.predictor import ForestParams
 from tests.conftest import planted_defect_data
@@ -45,8 +46,9 @@ def experiment(tr, te, method, seed):
 
 def report(tr, test_rows, changed_rows):
     train = encode(tr.rows, DistanceConfig.from_dataset(tr))
-    test = encode(test_rows, train.cfg)
-    return trust_report(train, test, encode(changed_rows, train.cfg), nearest_distances(train, test))
+    test, changed = encode(test_rows, train.cfg), encode(changed_rows, train.cfg)
+    moved = moved_rows(test, changed)
+    return trust_report(train, moved, changed.take(moved), nearest_distances(train, test))
 
 
 class TestRunExperiment:
@@ -87,6 +89,36 @@ class TestRunExperiment:
         snapshot = [list(r) for r in te.rows]
         experiment(tr, te, "cd", seed=2)
         assert te.rows == snapshot
+
+    def test_only_moved_rows_are_predicted(self, halves, monkeypatch):
+        # each experiment predicts exactly the rows its plans moved, and its
+        # after equals predicting every changed row
+        tr, te = halves
+        arts = RunArtifacts(tr, te, PlannerConfig(), forest_params=PARAMS).for_seed(1, ALL_METHODS)
+        predict, tables = predictor.ForestModel.predict, []
+
+        def spy(model, table):
+            tables.append(table)
+            return predict(model, table)
+
+        monkeypatch.setattr(predictor.ForestModel, "predict", spy)
+        dcfg = DistanceConfig.from_dataset(tr)
+        for method in ALL_METHODS:
+            tables.clear()
+            res = run_experiment(tr, te, method, arts)
+            changed = [list(z) for z in te.rows]
+            for i, z in enumerate(te.rows):
+                plan = arts.planners[method](i)
+                if not plan.empty:
+                    changed[i] = evaluation.apply_plan(z, plan, tr)
+            moved = [i for i, z in enumerate(te.rows) if changed[i] != z]
+            if method == "identity":
+                assert tables == [] and moved == []
+            else:
+                assert moved and len(tables) == 1
+                np.testing.assert_array_equal(tables[0].cols, encode([changed[i] for i in moved], dcfg).cols)
+            full = predict(arts.model, encode(changed, dcfg))
+            assert res.after == float(sum(1 for p in full if p))
 
 
 @pytest.fixture(scope="module")
@@ -256,9 +288,9 @@ class TestBlockedNearest:
 
         def spy(a, b):
             seen.append(len(a))
-            return distance(a, b)
+            return squared_distance(a, b)
 
-        monkeypatch.setattr(evaluation, "distance", spy)
+        monkeypatch.setattr(evaluation, "squared_distance", spy)
         monkeypatch.setattr(evaluation, "_BLOCK_CELLS", (per_block + 1) * len(train) - 1)
         nearest = nearest_distances(train, rows)
         assert seen == sizes

@@ -151,6 +151,9 @@ def forest_cases(draw):
     return X, y, mode, params, rng.normal(size=(7, f_total)).round(0)
 
 
+A, B = 1 + 2**-52, 1 + 2**-51  # adjacent floats
+
+
 class TestLockstepForest:
     """The lockstep grower and flat-array predict against the recursive
     oracle: equal trees node for node and equal predictions."""
@@ -199,6 +202,70 @@ class TestLockstepForest:
         assert [nested(model.trees, t) for t in range(20)] == ref
         encoded = encode(test.rows, cfg)
         assert model.predict(encoded) == oracle.predict(ref, predictor._filled(encoded, fill, unseen), CLASSIFY)
+
+    @pytest.mark.parametrize("x, y, params", [
+        ([0.5, 3.0, A, 0.5, 3.0, 3.0, B], [0, 1, 0, 1, 0, 1, 1], ForestParams(n_trees=1, max_depth=1, min_leaf=3)),
+        ([0.5, B, A, B, A, 3.0, A, B, 0.5], [1, 0, 0, 0, 1, 0, 1, 1, 1], ForestParams(n_trees=1, max_depth=1)),
+    ])
+    def test_midpoint_rounded_onto_the_value_above_the_cut(self, x, y, params):
+        # A and B are adjacent floats whose midpoint rounds to B, so B's rows
+        # go left with A's: the left side holds more rows than the cut, and
+        # its sum is not the prefix sum at the cut
+        assert (A + B) / 2 == B
+        X = np.array(x)[:, None]
+        assert_matches_oracle(X, np.array(y, float), CLASSIFY, params, X)
+
+
+@st.composite
+def subset_cases(draw):
+    X, y, mode, params, queries = draw(forest_cases())
+    table = np.vstack([X, queries])
+    picks = draw(st.lists(st.integers(0, len(table) - 1), max_size=len(table) + 3))
+    return X, y, mode, params, table, picks
+
+
+class TestPredictByTreeDepth:
+    """Each tree walks only as deep as it is: the depths are the trees'
+    own, and a row's prediction does not depend on the rows predicted with
+    it, so predicting any subset of rows gives the full prediction's
+    entries."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(subset_cases())
+    def test_subset_equals_full_prediction(self, case):
+        X, y, mode, params, table, picks = case
+        trees = predictor._grow_trees(X, y, mode, params)
+        assert trees.depth.tolist() == oracle.tree_depths(trees, params.n_trees)
+        f_total = X.shape[1]
+        model = predictor.ForestModel(mode, params, np.zeros(f_total), np.full(f_total, np.nan), trees)
+        full = model.predict(Encoded(None, table.T))
+        assert model.predict(Encoded(None, table[picks].T)) == [full[i] for i in picks]
+
+    def test_planted_scale_depths(self, planted):
+        train, _ = split(planted, SplitSpec(seed=3))
+        data = forest_input(train, encode(train.rows, DistanceConfig.from_dataset(train)))
+        trees = train_forest(data, ForestParams(n_trees=20, seed=3)).trees
+        depths = oracle.tree_depths(trees, 20)
+        assert trees.depth.tolist() == depths and len(set(depths)) > 1
+
+    def test_subset_of_many_blocks_of_mixed_depths(self, monkeypatch):
+        # 40 trees of unequal depths over blocks of 7 rows
+        rng = np.random.default_rng(5)
+        X = rng.normal(size=(200, 4))
+        for mode, y, params in (
+                (CLASSIFY, (X[:, 0] + rng.normal(size=200) > 0).astype(float), ForestParams(n_trees=40, seed=2)),
+                (REGRESS, np.exp(rng.normal(size=200) * 4), ForestParams(n_trees=40, seed=2, min_leaf=6))):
+            trees = predictor._grow_trees(X, y, mode, params)
+            assert trees.depth.tolist() == oracle.tree_depths(trees, 40)
+            assert trees.depth.max() - trees.depth.min() >= 3
+            model = predictor.ForestModel(mode, params, np.zeros(4), np.full(4, np.nan), trees)
+            monkeypatch.setattr(predictor, "_CELL_CAP", 7 * 40)
+            full = model.predict(Encoded(None, X.T))
+            picks = rng.permutation(200)[:61]
+            assert model.predict(Encoded(None, X[picks].T)) == [full[i] for i in picks]
+            monkeypatch.undo()
+            ref = oracle.grow_forest(X, y, mode, params)
+            assert full == oracle.predict(ref, X, mode)
 
 
 def generator(seed, uinteger=None):
@@ -344,6 +411,18 @@ class TestSingleEncoding:
         # the probes' new symbols take codes of their own, read as the fill
         both = encode(train.rows + probes, cfg)
         assert np.array_equal(predictor._filled(both, fill, unseen), ref.transform(train.rows + probes))
+
+    def test_fill_of_a_column_whose_middle_sum_overflows(self):
+        # 1e308 + 1.7e308 overflows; the fill is the mean of their halves
+        feats = [FeatureSpec("size"), FeatureSpec("bug", role="dependent")]
+        train = Dataset(feats, [[1e308, True], [1.7e308, False], [None, True]], MINIMIZE_RATE)
+        _, _, X, fill, _ = forest_input(train, encode(train.rows, DistanceConfig.from_dataset(train)))
+        assert fill.tolist() == [1e308 / 2 + 1.7e308 / 2]
+        assert X[2, 0] == 1.35e308
+
+    @given(st.lists(st.floats(-8e307, 8e307), min_size=1, max_size=30))
+    def test_fill_median_is_numpy_median_without_overflow(self, values):
+        assert predictor._median(np.array(values)) == np.median(values)
 
     def test_codes_follow_sorted_symbols_not_first_seen(self):
         feats = [FeatureSpec("os", kind="discrete"), FeatureSpec("bug", role="dependent")]

@@ -1,12 +1,16 @@
 import random
+import statistics
 
 import pytest
+from hypothesis import given, strategies as st
 
 from xplan.scott_knott import (
     MethodSamples,
     RankedReport,
     a12,
     bootstrap_test,
+    fmean,
+    median,
     quartiles,
     render_report,
     scott_knott_rank,
@@ -173,3 +177,23 @@ class TestRender:
     def test_empty_report_rejected(self):
         with pytest.raises(ValueError):
             render_report(RankedReport([]))
+
+
+class TestStatisticsReplacements:
+    """fmean, median and quartiles equal the ``statistics`` functions they
+    stand for with ``==``, on ties, mixed magnitudes, ints and every length
+    up to 60."""
+
+    @given(st.lists(st.one_of(st.floats(allow_nan=False, allow_infinity=False, width=64,
+                                        min_value=-1e300, max_value=1e300),
+                              st.floats(0, 2).map(lambda x: round(x, 1)),
+                              st.integers(-5, 5)),
+                    min_size=1, max_size=60))
+    def test_equal_to_statistics(self, xs):
+        assert fmean(xs) == statistics.fmean(xs)
+        assert median(xs) == statistics.median(xs)
+        if len(xs) > 1:
+            q = statistics.quantiles(xs, n=4, method="inclusive")
+            assert quartiles(xs) == (q[0], q[2])
+        else:
+            assert quartiles(xs) == (xs[0], xs[0])
