@@ -219,15 +219,16 @@ def split(ds, spec):
         train_rows = [ds.rows[i] for i in order[:cut]]
         test_rows = [ds.rows[i] for i in order[cut:]]
     elif spec.mode == "by-version":
-        overlap = set(spec.train_versions) & set(spec.test_versions)
+        train_versions, test_versions = set(spec.train_versions), set(spec.test_versions)
+        overlap = train_versions & test_versions
         if overlap:
             raise DataError(f"versions in both train and test: {sorted(overlap)}")
         try:
             vi = ds.index("version")
         except KeyError:
             raise DataError("by-version split needs a 'version' column")
-        train_rows = [r for r in ds.rows if r[vi] in set(spec.train_versions)]
-        test_rows = [r for r in ds.rows if r[vi] in set(spec.test_versions)]
+        train_rows = [r for r in ds.rows if r[vi] in train_versions]
+        test_rows = [r for r in ds.rows if r[vi] in test_versions]
     else:
         raise DataError(f"bad split mode {spec.mode!r}")
     for name, rows in (("train", train_rows), ("test", test_rows)):

@@ -8,7 +8,12 @@ Distance is a weighted Euclidean over these columns, with numerics
 normalized to [0,1] by the training bounds, discrete mismatch counting
 1, and missing values resolved pessimistically (a fully-missing pair
 contributes 1). Each encoded table normalizes its numerics once, into a
-cached ``unit`` array that ``distance`` reads and ``take`` slices.
+cached ``unit`` array that ``distance`` reads and ``take`` slices. The
+one kernel, ``squared_distance``, adds the features' terms in schema
+order into a sums array, through one terms array that every feature
+reuses; a caller that measures block after block passes both in, so the
+kernel allocates nothing per feature and the sums stay those of the
+allocating call, bit for bit.
 """
 
 from __future__ import annotations
@@ -113,35 +118,43 @@ def encode(rows, cfg):
     return Encoded(cfg, cols)
 
 
-def squared_distance(a, b):
+def squared_distance(a, b, out=None, scratch=None):
     """All pairwise squared distances between two encoded tables, as a
     (len(a), len(b)) array. Each cell is summed feature by feature in
     schema order, exactly as a scalar loop over one pair would sum it: a
     weight of 1 multiplies nothing, and a signed difference squares as its
-    absolute value does."""
-    cfg = a.cfg
-    total = np.zeros((len(a), len(b)))
-    for kind, w, ca, cb in zip(cfg.kinds, cfg.weights, a.unit, b.unit):
+    absolute value does.
+
+    ``out`` (the sums) and ``scratch`` (one feature's terms) are float
+    arrays of the result's shape; given, they are written in place and
+    reused for every feature, so a caller that measures block after block
+    allocates them once. ``out`` is returned. Either one left out is
+    allocated here; the sums are the same bit for bit."""
+    shape = (len(a), len(b))
+    out = np.empty(shape) if out is None else out
+    scratch = np.empty(shape) if scratch is None else scratch
+    out.fill(0.0)
+    for kind, w, ca, cb in zip(a.cfg.kinds, a.cfg.weights, a.unit, b.unit):
         if kind == NUMERIC:
-            d = ca[:, None] - cb[None, :]
+            np.subtract(ca[:, None], cb[None, :], out=scratch)
             miss_a, miss_b = np.isnan(ca), np.isnan(cb)
             if miss_a.any() or miss_b.any():
                 # a one-sided gap takes the far end of [0,1] from the value
                 # that is present; a two-sided gap counts 1
-                d = np.where(miss_b[None, :], np.maximum(ca, 1.0 - ca)[:, None], d)
-                d = np.where(miss_a[:, None], np.maximum(cb, 1.0 - cb)[None, :], d)
-                d[miss_a[:, None] & miss_b[None, :]] = 1.0
+                np.copyto(scratch, np.maximum(ca, 1.0 - ca)[:, None], where=miss_b[None, :])
+                far_b = np.where(miss_b, 1.0, np.maximum(cb, 1.0 - cb))
+                np.copyto(scratch, far_b[None, :], where=miss_a[:, None])
         else:
             # a missing symbol differs in the worst case: NaN != every code and NaN
-            d = (ca[:, None] != cb[None, :]).astype(float)
+            np.not_equal(ca[:, None], cb[None, :], out=scratch)
         if w == 1.0:
-            d *= d
-            total += d
+            scratch *= scratch
+            out += scratch
         else:
-            term = w * d
-            term *= d
-            total += term
-    return total
+            term = w * scratch
+            term *= scratch
+            out += term
+    return out
 
 
 def distance(a, b):

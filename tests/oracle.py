@@ -1,9 +1,10 @@
 """Reference implementations that the fast paths in ``xplan`` must match
 exactly: the scalar row distance that the encoded kernel replaced, the
-forest's own row encoder that ``num_core.encode`` replaced, the quadratic
-MDL cut search that the one-scan search replaced, the recursive CART
-grower and predictor that the lockstep forest replaced, and the row-list
-xtree tree and feature ranking that now read the encoded table."""
+allocating kernel that the buffered one replaced, the forest's own row
+encoder that ``num_core.encode`` replaced, the quadratic MDL cut search
+that the one-scan search replaced, the recursive CART grower and
+predictor that the lockstep forest replaced, and the row-list xtree tree
+and feature ranking that now read the encoded table."""
 
 import math
 from collections import Counter
@@ -61,6 +62,32 @@ def distance(x, y, cfg):
         d = _feature_delta(x[i], y[i], kind, cfg, name)
         total += w * d * d
     return math.sqrt(total)
+
+
+def squared_distance(a, b):
+    """All pairwise squared distances between two encoded tables, with
+    fresh temporaries for every feature: the kernel that
+    ``num_core.squared_distance`` replaced by two reused buffers."""
+    cfg = a.cfg
+    total = np.zeros((len(a), len(b)))
+    for kind, w, ca, cb in zip(cfg.kinds, cfg.weights, a.unit, b.unit):
+        if kind == NUMERIC:
+            d = ca[:, None] - cb[None, :]
+            miss_a, miss_b = np.isnan(ca), np.isnan(cb)
+            if miss_a.any() or miss_b.any():
+                d = np.where(miss_b[None, :], np.maximum(ca, 1.0 - ca)[:, None], d)
+                d = np.where(miss_a[:, None], np.maximum(cb, 1.0 - cb)[None, :], d)
+                d[miss_a[:, None] & miss_b[None, :]] = 1.0
+        else:
+            d = (ca[:, None] != cb[None, :]).astype(float)
+        if w == 1.0:
+            d *= d
+            total += d
+        else:
+            term = w * d
+            term *= d
+            total += term
+    return total
 
 
 class Encoder:

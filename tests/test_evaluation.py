@@ -1,5 +1,6 @@
 import math
 import random
+import resource
 import tracemalloc
 from unittest import mock
 
@@ -27,6 +28,7 @@ from xplan.evaluation import (
 from xplan.num_core import DistanceConfig, distance, encode, squared_distance
 from xplan.planners import PlannerConfig
 from xplan.predictor import ForestParams
+from tests import oracle
 from tests.conftest import planted_defect_data
 from tests.test_num_core import schema_and_rows
 
@@ -262,8 +264,9 @@ class TestTrustReport:
 
 
 class TestBlockedNearest:
-    """``nearest_distances`` takes its minima block by block; every one must
-    equal the full kernel matrix's row minimum, bit for bit."""
+    """``nearest_distances`` takes its minima block by block, in reused
+    buffers; every one must equal the row minimum of the allocating
+    reference kernel's full matrix, bit for bit."""
 
     @settings(max_examples=200, deadline=None)
     @given(schema_and_rows(), st.integers(1, 40))
@@ -277,7 +280,7 @@ class TestBlockedNearest:
                 nearest = nearest_distances(train, enc)
                 assert nearest.shape == (len(rows),)
                 if rows:
-                    assert (nearest == distance(enc, train).min(axis=1)).all()
+                    assert np.array_equal(nearest, np.sqrt(oracle.squared_distance(enc, train).min(axis=1)))
 
     @pytest.mark.parametrize("per_block, sizes", [(1, [1] * 20), (7, [7, 7, 6]), (20, [20])])
     def test_rows_are_measured_in_blocks(self, halves, monkeypatch, per_block, sizes):
@@ -286,9 +289,9 @@ class TestBlockedNearest:
         rows = encode(te.rows[:20], train.cfg)
         seen = []
 
-        def spy(a, b):
+        def spy(a, b, *args, **kwargs):
             seen.append(len(a))
-            return squared_distance(a, b)
+            return squared_distance(a, b, *args, **kwargs)
 
         monkeypatch.setattr(evaluation, "squared_distance", spy)
         monkeypatch.setattr(evaluation, "_BLOCK_CELLS", (per_block + 1) * len(train) - 1)
@@ -315,6 +318,20 @@ class TestBlockedNearest:
         finally:
             tracemalloc.stop()
         assert peak < 4e6
+
+    def test_a_repeated_call_maps_no_new_pages(self):
+        # the two block buffers are allocated once per call; a kernel that
+        # allocates a fresh block-sized temporary per feature faults about
+        # 10,000 pages per call here
+        tr, te = planted_defect_data(n_train=3000, n_test=1000)
+        train = encode(tr.rows, DistanceConfig.from_dataset(tr))
+        rows = encode(te.rows, train.cfg)
+        first = nearest_distances(train, rows)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        again = nearest_distances(train, rows)
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+        assert np.array_equal(first, again)
+        assert faults < 1000
 
 
 class TestChangeFrequency:

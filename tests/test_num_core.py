@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from xplan.data_model import MINIMIZE_RATE, Dataset, FeatureSpec
-from xplan.num_core import DistanceConfig, distance, distance_matrix, encode
+from xplan.num_core import DistanceConfig, distance, distance_matrix, encode, squared_distance
 from tests import oracle
 from tests.oracle import variability
 
@@ -141,12 +141,12 @@ class TestDistanceMatrix:
 
 
 @st.composite
-def schema_and_rows(draw):
+def schema_and_rows(draw, weights=(0.0, 0.3, 1.0, 2.0, 7.5)):
     """Training rows over 1-5 random features (some constant, some all
     missing, with zero, unit and other weights) plus two probe tables with
     missing cells, values outside the training bounds and unseen symbols."""
     kinds = draw(st.lists(st.sampled_from(["numeric", "discrete"]), min_size=1, max_size=5))
-    weights = draw(st.lists(st.sampled_from([0.0, 0.3, 1.0, 2.0, 7.5]),
+    weights = draw(st.lists(st.sampled_from(weights),
                             min_size=len(kinds), max_size=len(kinds)))
     shapes = draw(st.lists(st.sampled_from(["varied", "constant", "missing"]),
                            min_size=len(kinds), max_size=len(kinds)))
@@ -206,3 +206,26 @@ class TestKernelMatchesScalarOracle:
             fresh = encode([rows[i] for i in pick], enc.cfg)
             assert np.array_equal(taken.cols, fresh.cols, equal_nan=True)
             assert np.array_equal(taken.unit, fresh.unit, equal_nan=True)
+
+
+class TestBufferedKernel:
+    """The kernel writing into two caller-owned buffers must give the sums of
+    the allocating reference (``oracle.squared_distance``) bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(schema_and_rows(weights=(0.0, 0.5, 1.0, 2.5)), st.integers(1, 4))
+    def test_buffers_reused_over_ragged_blocks_give_the_reference_sums(self, case, step):
+        ds, probes = case
+        train = encode(ds.rows, DistanceConfig.from_dataset(ds))
+        for rows in (ds.rows, *probes):
+            enc = encode(rows, train.cfg)
+            ref = oracle.squared_distance(enc, train)
+            assert not np.isnan(ref).any()
+            assert np.array_equal(squared_distance(enc, train), ref)
+            # stale contents must not leak into the next block's sums
+            buffers = np.full((2, step, len(train)), np.nan)
+            for lo in range(0, len(rows), step):
+                block = enc.take(slice(lo, lo + step))
+                out, scratch = buffers[:, :len(block)]
+                assert squared_distance(block, train, out, scratch) is out
+                assert np.array_equal(out, ref[lo:lo + step])

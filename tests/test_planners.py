@@ -1,16 +1,21 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from xplan.data_model import (
+    INDEPENDENT,
+    META,
     MINIMIZE_RATE,
     MINIMIZE_VALUE,
+    NUMERIC,
     DataError,
     Dataset,
     FeatureSpec,
 )
 from xplan.decision_tree import locate_leaf
 from xplan.discretize import FeatureRanking
+from xplan.evaluation import ALL_METHODS, RunArtifacts
 from xplan.num_core import DistanceConfig, distance, encode
 from xplan.planners import (
     SAMPLE,
@@ -31,7 +36,7 @@ from xplan.planners import (
     plan_xtree,
 )
 from xplan.where_cluster import ClusterConfig, ClusterSummary, cluster
-from tests.conftest import tree_of
+from tests.conftest import planted_defect_data, tree_of
 
 
 def two_cluster_fixture():
@@ -263,6 +268,35 @@ class TestApplyPlan:
         z = [500.0, "a", True]
         with pytest.raises(DataError):
             apply_plan(z, Plan([Delta("bug", SET, False)]), self.ds)
+
+
+def with_meta(ds):
+    """ds with a meta column of row ids before its dependent."""
+    feats = ds.features[:-1] + [FeatureSpec("id", kind="discrete", role=META), ds.features[-1]]
+    return Dataset(feats, [r[:-1] + [f"r{k}", r[-1]] for k, r in enumerate(ds.rows)], ds.objective)
+
+
+class TestAppliedPlanInvariants:
+    """Every planner's plan, applied to its own test row, leaves the
+    dependent and meta cells alone and puts every numeric cell it names
+    inside the training bounds."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(10, 120), st.integers(1, 20), st.integers(0, 99))
+    def test_plans_keep_fixed_cells_and_training_bounds(self, data_seed, n_train, n_test, seed):
+        tr, te = map(with_meta, planted_defect_data(n_train, n_test, data_seed))
+        planners = RunArtifacts(tr, te, PlannerConfig())._planners(seed, ALL_METHODS)
+        fixed = [i for i, f in enumerate(tr.features) if f.role != INDEPENDENT]
+        for method, plan_row in planners.items():
+            for i, z in enumerate(te.rows):
+                plan = plan_row(i)
+                out = apply_plan(z, plan, tr)
+                assert [out[j] for j in fixed] == [z[j] for j in fixed], method
+                for name in set(plan.features()):
+                    j = tr.index(name)
+                    if tr.features[j].kind == NUMERIC and out[j] is not None:
+                        lo, hi = tr.bounds[name]
+                        assert lo <= out[j] <= hi, (method, name)
 
 
 class TestFeatureModel:
