@@ -16,7 +16,6 @@ import click
 from xplan.data_model import DataError, SplitSpec, load_csv, load_schema, split
 from xplan.evaluation import (
     ALL_METHODS,
-    GateError,
     RunArtifacts,
     change_frequency,
     method_samples,
@@ -26,7 +25,7 @@ from xplan.evaluation import (
     write_jsonl,
 )
 from xplan.planners import PlannerConfig, load_feature_model
-from xplan.predictor import ForestParams, smote, tune_de
+from xplan.predictor import ForestParams, GateError, smote, tune_de
 from xplan.scott_knott import render_report, scott_knott_rank
 
 EXIT_DATA = 1
@@ -118,12 +117,8 @@ def _prepare(data, schema, constraints, alpha, beta, gamma, seed, split_mode,
     return train, test, fm, params, PlannerConfig(alpha=alpha, beta=beta, gamma=gamma)
 
 
-def _gate_failed(score):
-    if hasattr(score, "pd"):
-        click.echo(f"predictor gate failed: pd={score.pd:.1f} pf={score.pf:.1f} "
-                   "(need pd > 60 and pf < 40)", err=True)
-    else:
-        click.echo(f"predictor gate failed: s={score.s:.3f} (need s > 0.9)", err=True)
+def _gate_failed(exc):
+    click.echo(str(exc), err=True)
     sys.exit(EXIT_GATE)
 
 
@@ -194,7 +189,7 @@ def cmd_plan(method, rows, seed, **shared):
     try:
         arts = RunArtifacts(train, test, cfg, fm, params).for_seed(seed, methods)
     except GateError as exc:
-        _gate_failed(exc.score)
+        _gate_failed(exc)
     for m in methods:
         for i in selected:
             plan = arts.planners[m](i)
@@ -222,7 +217,7 @@ def cmd_eval(methods, repeats, out, fmt, seed, **shared):
         results = run_repeats(train, test, method_list, cfg, n=repeats,
                               base_seed=seed, fm=fm, forest_params=params)
     except GateError as exc:
-        _gate_failed(exc.score)
+        _gate_failed(exc)
     outdir = Path(out)
     try:
         outdir.mkdir(parents=True, exist_ok=True)

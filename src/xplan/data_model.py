@@ -102,10 +102,6 @@ class Dataset:
     def independent(self):
         return [f for f in self.features if f.role == INDEPENDENT]
 
-    @property
-    def dependent(self):
-        return self.features[self.dep_index]
-
     def dep_values(self):
         return [r[self.dep_index] for r in self.rows]
 

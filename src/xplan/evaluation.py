@@ -7,8 +7,9 @@ statistic on the changed rows. The repeats run seed by seed: each seed
 trains one forest on the train split, predicts the test split once to
 check it (aborting when it is not good enough to judge plans) and builds
 the training-side planner artifacts, which every method of that seed
-shares. An experiment re-predicts and measures only the rows its plans
-moved; every other row keeps the seed's prediction and its nearest
+shares. An experiment finds the rows its plans moved in the pass that
+applies and culls the plans, and encodes, re-predicts and measures only
+those; every other row keeps the seed's prediction and its nearest
 distance, which no seed changes. Artifacts that no seed changes are built
 once per run.
 """
@@ -44,6 +45,7 @@ from xplan.predictor import (
     CLASSIFY,
     ForestModel,
     ForestParams,
+    GateError,
     forest_input,
     gate,
     score_classifier,
@@ -60,14 +62,6 @@ ALL_METHODS = ("identity", "cd", "cdfs", "bic", "xtree")
 # 1 MB of buffers kept a config-runtime eval's peak RSS at 37.4 MB, while
 # 2^15's 0.5 MB let it fall to 36.8 MB.
 _BLOCK_CELLS = 1 << 15
-
-
-class GateError(RuntimeError):
-    """Predictor too weak to judge plans; carries the offending score."""
-
-    def __init__(self, score):
-        self.score = score
-        super().__init__(f"predictor gate failed: {score}")
 
 
 @dataclass
@@ -96,12 +90,6 @@ class ExperimentResult:
         if bad or not all(isinstance(f, str) for f in r.changed_features):
             raise TypeError(f"bad {', '.join(bad or ['changed_features'])}")
         return r
-
-
-@dataclass
-class TrustReport:
-    before_mean: float
-    after_mean: float
 
 
 @dataclass
@@ -226,72 +214,60 @@ def nearest_distances(train, rows):
     return np.sqrt(nearest, out=nearest)
 
 
-def moved_rows(test, changed):
-    """Positions of the encoded changed rows that differ from their encoded
-    test rows (a missing cell equals a missing cell)."""
-    same = (test.cols == changed.cols) | (np.isnan(test.cols) & np.isnan(changed.cols))
-    return np.flatnonzero(~same.all(axis=0))
-
-
 def trust_report(train, moved, rows, before):
     """Mean distance to the nearest of the encoded training rows before
-    and after the changes. ``before`` holds each test row's nearest
-    distance; the changed rows at positions ``moved``, encoded as
-    ``rows``, are measured, and every other row keeps its distance."""
+    and after the changes, as a pair. ``before`` holds each test row's
+    nearest distance; the rows at positions ``moved``, changed and encoded
+    as ``rows``, are measured, and every other row keeps its distance."""
     after = before.copy()
     after[moved] = nearest_distances(train, rows)
-    return TrustReport(float(np.mean(before)), float(np.mean(after)))
+    return float(np.mean(before)), float(np.mean(after))
 
 
 def run_experiment(train, test, method, arts):
     """Plan every test row with one method from one seed's shared
-    artifacts (built from this train/test split), re-predict the rows the
-    plans moved and report the ratio, plan counts and trust. A row's
-    prediction does not depend on the other rows predicted with it, so an
-    unmoved row keeps the seed's prediction bit for bit."""
-    run, seed = arts.run, arts.seed
-    planner = arts.planners[method]
-    changed = []
-    emitted = empty = 0
-    touched = set()
+    artifacts (built from this train/test split), and report the ratio,
+    plan counts and trust. The pass that applies and culls the plans
+    also finds the rows they moved: only those are encoded, re-predicted
+    and measured. A row's prediction does not depend on the other rows
+    predicted with it, so an unmoved row keeps the seed's prediction bit
+    for bit. A cell differs exactly when its encoding does: rows hold no
+    NaN, and a plan's new symbols take their codes in row order."""
+    run, planner = arts.run, arts.planners[method]
+    moved, changed, touched = [], [], set()
+    emitted = 0
     for i, z in enumerate(test.rows):
         plan = planner(i)
-        if not plan.empty:
-            candidate = apply_plan(z, plan, train)
-            if run.fm is not None and check_constraints(candidate, run.fm, train):
-                plan, candidate = Plan([], plan.method), list(z)  # culled
-            else:
-                emitted += 1
-                touched.update(
-                    d.feature for d in plan.deltas if candidate[train.index(d.feature)] != z[train.index(d.feature)]
-                )
-        else:
-            candidate = list(z)
         if plan.empty:
-            empty += 1
-        changed.append(candidate)
+            continue
+        candidate = apply_plan(z, plan, train)
+        if run.fm is not None and check_constraints(candidate, run.fm, train):
+            continue  # culled
+        emitted += 1
+        diff = [f.name for f, a, b in zip(train.features, candidate, z) if a != b]
+        touched.update(diff)
+        if diff:
+            moved.append(i)
+            changed.append(candidate)
 
     before, predicted = arts.before, list(arts.predicted)
-    encoded = encode(changed, run.dcfg)
-    moved = moved_rows(run.encoded_test, encoded)
-    rows = encoded.take(moved)
-    if len(moved):  # identity moves none
-        for i, p in zip(moved.tolist(), arts.model.predict(rows)):
+    rows = encode(changed, run.dcfg)
+    if moved:  # identity moves none
+        for i, p in zip(moved, arts.model.predict(rows)):
             predicted[i] = p
     after = _total(arts.model.mode, predicted)
-    ratio = after / before if before > 0 else math.nan
-    trust = trust_report(run.encoded_train, moved, rows, run.nearest)
+    trust_before, trust_after = trust_report(run.encoded_train, moved, rows, run.nearest)
     return ExperimentResult(
         method=method,
-        seed=seed,
-        ratio=ratio,
+        seed=arts.seed,
+        ratio=after / before if before > 0 else math.nan,
         before=before,
         after=after,
         plans_emitted=emitted,
-        empty_plans=empty,
+        empty_plans=len(test.rows) - emitted,
         changed_features=sorted(touched),
-        trust_before=trust.before_mean,
-        trust_after=trust.after_mean,
+        trust_before=trust_before,
+        trust_after=trust_after,
         ratio_defined=before > 0,
     )
 

@@ -202,9 +202,7 @@ def apply_plan(z, plan, ds):
                 continue
             lo, hi = ds.bounds.get(d.feature, (-math.inf, math.inf))
             row[i] = min(hi, max(lo, row[i] + d.value))
-        elif d.kind == SET:
-            row[i] = d.value
-        elif d.kind == SAMPLE:
+        elif d.kind in (SET, SAMPLE):
             row[i] = d.value
         else:
             raise DataError(f"bad delta kind {d.kind!r}")

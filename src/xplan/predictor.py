@@ -623,13 +623,29 @@ def score_regressor(test, predicted):
     return RegressorScore(sum(items) / len(items) if items else math.nan)
 
 
-def gate(score, s_threshold=0.9):
+# The gate: a classifier needs pd > GATE_PD and pf < GATE_PF (percent), a
+# regressor s > GATE_S. A NaN score fails every comparison, so it fails.
+GATE_PD, GATE_PF, GATE_S = 60, 40, 0.9
+
+
+def gate(score):
     """True when the predictor is trustworthy enough to judge plans."""
     if isinstance(score, ClassifierScore):
-        if math.isnan(score.pd) or math.isnan(score.pf):
-            return False
-        return score.pd > 60 and score.pf < 40
-    return not math.isnan(score.s) and score.s > s_threshold
+        return score.pd > GATE_PD and score.pf < GATE_PF
+    return score.s > GATE_S
+
+
+class GateError(RuntimeError):
+    """Predictor too weak to judge plans; carries the offending score, and
+    its message names the thresholds the score missed."""
+
+    def __init__(self, score):
+        self.score = score
+        if isinstance(score, ClassifierScore):
+            super().__init__(f"predictor gate failed: pd={score.pd:.1f} pf={score.pf:.1f} "
+                             f"(need pd > {GATE_PD} and pf < {GATE_PF})")
+        else:
+            super().__init__(f"predictor gate failed: s={score.s:.3f} (need s > {GATE_S})")
 
 
 # --- SMOTE ------------------------------------------------------------------

@@ -1,19 +1,25 @@
 """Shared fixtures: small synthetic datasets with known structure."""
 
 import csv
+import math
 import random
 
 import pytest
 
 from xplan.data_model import (
+    INDEPENDENT,
     MINIMIZE_RATE,
     MINIMIZE_VALUE,
+    META,
     MISSING,
     Dataset,
     FeatureSpec,
+    SplitSpec,
+    split,
 )
 from xplan.decision_tree import build_tree
 from xplan.num_core import DistanceConfig, encode
+from xplan.planners import FeatureModel
 from xplan.predictor import forest_input, train_forest
 
 
@@ -80,6 +86,60 @@ def planted_defect_data(n_train=600, n_test=200, seed=0):
         Dataset(feats, make(n_train), MINIMIZE_RATE),
         Dataset(feats, make(n_test), MINIMIZE_RATE),
     )
+
+
+# Additive runtime effect of each on/off option of the configuration
+# generator being on.
+CONFIG_EFFECTS = {"cache": -12.0, "backend": 4.0, "ssl": 9.0, "legacy": 6.0,
+                  "fast": -10.0, "small": 14.0, "logging": 5.0, "metrics": 3.0}
+
+
+def config_runtime_data(n_rows=240, seed=0):
+    """A configurable system's table and its rules: random on/off options
+    and a thread count, with a runtime of 150 plus additive option and
+    thread effects and 2% noise. The configurations may break the rules,
+    so plans that copy them can be culled."""
+    rng = random.Random(seed)
+    feats = ([FeatureSpec(name, kind="discrete") for name in CONFIG_EFFECTS]
+             + [FeatureSpec("threads"), FeatureSpec("runtime", role="dependent")])
+    rows = []
+    for _ in range(n_rows):
+        on = {name: rng.random() < 0.5 for name in CONFIG_EFFECTS}
+        threads = rng.choice((1.0, 2.0, 4.0, 8.0))
+        runtime = 150.0 + sum(e for name, e in CONFIG_EFFECTS.items() if on[name])
+        runtime += 40.0 / math.sqrt(threads)
+        runtime *= 1.0 + rng.gauss(0.0, 0.02)
+        rows.append(["on" if on[name] else "off" for name in CONFIG_EFFECTS] + [threads, runtime])
+    rules = FeatureModel(requires=[("cache", "backend")], excludes=[("ssl", "legacy")],
+                         exactly_one=[["fast", "small"]], at_least_one=[["logging", "metrics"]])
+    return Dataset(feats, rows, MINIMIZE_VALUE), rules
+
+
+def with_meta(ds):
+    """ds with a meta column of row ids before its dependent."""
+    feats = ds.features[:-1] + [FeatureSpec("id", kind="discrete", role=META), ds.features[-1]]
+    return Dataset(feats, [r[:-1] + [f"r{k}", r[-1]] for k, r in enumerate(ds.rows)], ds.objective)
+
+
+def with_gaps(ds, rng, share):
+    """ds with about ``share`` of its independent cells missing."""
+    free = [i for i, f in enumerate(ds.features) if f.role == INDEPENDENT]
+    rows = [[None if i in free and rng.random() < share else c for i, c in enumerate(r)] for r in ds.rows]
+    return Dataset(ds.features, rows, ds.objective)
+
+
+def drawn_split(source, data_seed, n_rows):
+    """Train and test sets, with their rules, for properties over either
+    generator: "planted" rows (``n_rows`` to train on, a quarter as many to
+    test) with a meta column and about 10% missing independent cells, or
+    ``n_rows`` "config" rows split in halves, whose rules cull some plans."""
+    if source == "planted":
+        rng = random.Random(data_seed)
+        tr, te = planted_defect_data(n_rows, n_rows // 4 + 1, data_seed)
+        return with_gaps(with_meta(tr), rng, 0.1), with_gaps(with_meta(te), rng, 0.1), None
+    ds, rules = config_runtime_data(n_rows, data_seed)
+    tr, te = split(ds, SplitSpec(seed=data_seed))
+    return tr, te, rules
 
 
 def two_blob_data(per_blob=50, seed=0, spread=1.0, gap=50.0):

@@ -3,8 +3,9 @@ exactly: the scalar row distance that the encoded kernel replaced, the
 allocating kernel that the buffered one replaced, the forest's own row
 encoder that ``num_core.encode`` replaced, the quadratic MDL cut search
 that the one-scan search replaced, the recursive CART grower and
-predictor that the lockstep forest replaced, and the row-list xtree tree
-and feature ranking that now read the encoded table."""
+predictor that the lockstep forest replaced, the row-list xtree tree
+and feature ranking that now read the encoded table, and the experiment
+that encoded every changed row to find the moved ones."""
 
 import math
 from collections import Counter
@@ -14,7 +15,9 @@ import numpy as np
 from xplan.data_model import DISCRETE, INDEPENDENT, MINIMIZE_RATE, NUMERIC, dependent_score
 from xplan.decision_tree import MIN_GAIN, TreeNode
 from xplan.discretize import Bin, _mdl_accepts
-from xplan.num_core import DistanceConfig, distance_matrix, entropy
+from xplan.evaluation import ExperimentResult, nearest_distances
+from xplan.num_core import DistanceConfig, distance_matrix, encode, entropy
+from xplan.planners import Plan, apply_plan, check_constraints
 from xplan.predictor import CLASSIFY
 from xplan.where_cluster import ClusterConfig, centroid_of
 
@@ -413,3 +416,64 @@ def build_tree(train, alpha=None):
     centroids = [leaf.centroid for leaf in leaves]
     root.leaf_distances = distance_matrix(centroids, centroids, DistanceConfig.from_dataset(train)).tolist()
     return root
+
+
+def moved_rows(test, changed):
+    """Positions of the encoded changed rows that differ from their encoded
+    test rows (a missing cell equals a missing cell)."""
+    same = (test.cols == changed.cols) | (np.isnan(test.cols) & np.isnan(changed.cols))
+    return np.flatnonzero(~same.all(axis=0))
+
+
+def run_experiment(train, test, method, arts):
+    """``evaluation.run_experiment`` as it found the moved rows before:
+    copy every row whose plan is empty or culled, encode all the changed
+    rows, diff that encoding against the encoded test rows, then predict
+    and measure the rows that differ."""
+    run = arts.run
+    changed = []
+    emitted = empty = 0
+    touched = set()
+    for i, z in enumerate(test.rows):
+        plan = arts.planners[method](i)
+        if not plan.empty:
+            candidate = apply_plan(z, plan, train)
+            if run.fm is not None and check_constraints(candidate, run.fm, train):
+                plan, candidate = Plan([], plan.method), list(z)  # culled
+            else:
+                emitted += 1
+                touched.update(
+                    d.feature for d in plan.deltas if candidate[train.index(d.feature)] != z[train.index(d.feature)]
+                )
+        else:
+            candidate = list(z)
+        if plan.empty:
+            empty += 1
+        changed.append(candidate)
+
+    before, predicted = arts.before, list(arts.predicted)
+    encoded = encode(changed, run.dcfg)
+    moved = moved_rows(run.encoded_test, encoded)
+    rows = encoded.take(moved)
+    if len(moved):
+        for i, p in zip(moved.tolist(), arts.model.predict(rows)):
+            predicted[i] = p
+    if arts.model.mode == CLASSIFY:
+        after = float(sum(1 for p in predicted if p))
+    else:
+        after = float(sum(predicted))
+    nearest = run.nearest.copy()
+    nearest[moved] = nearest_distances(run.encoded_train, rows)
+    return ExperimentResult(
+        method=method,
+        seed=arts.seed,
+        ratio=after / before if before > 0 else math.nan,
+        before=before,
+        after=after,
+        plans_emitted=emitted,
+        empty_plans=empty,
+        changed_features=sorted(touched),
+        trust_before=float(np.mean(run.nearest)),
+        trust_after=float(np.mean(nearest)),
+        ratio_defined=before > 0,
+    )

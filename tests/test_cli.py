@@ -8,8 +8,11 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from xplan import evaluation
 from xplan.cli import main
+from xplan.predictor import GateError
 from tests.conftest import save_csv
+from tests.test_golden import config_inputs
 
 
 @pytest.fixture(scope="module")
@@ -267,6 +270,31 @@ class TestEval:
         except ValueError:  # stderr mixed into output on older click
             err = res.output
         assert "gate" in err
+
+    @pytest.mark.parametrize("objective", ["defects", "runtime"])
+    def test_gate_failure_prints_the_gate_error(self, workdir, tmp_path, monkeypatch, objective):
+        # the gate is made to fail on the seed's own score, a classifier's
+        # (pd, pf) or a regressor's s; the line is GateError's message, with
+        # the thresholds of the gate
+        if objective == "runtime":
+            config_inputs(tmp_path)
+            workdir = tmp_path
+        scores = []
+
+        def failing(score):
+            scores.append(score)
+            return False
+
+        monkeypatch.setattr(evaluation, "gate", failing)
+        res = runner.invoke(main, ["eval"] + base_args(
+            workdir, "--methods", "identity", "--repeats", "1", "--out", str(tmp_path / "r")))
+        assert res.exit_code == 2
+        [score] = scores
+        if objective == "defects":
+            line = f"predictor gate failed: pd={score.pd:.1f} pf={score.pf:.1f} (need pd > 60 and pf < 40)"
+        else:
+            line = f"predictor gate failed: s={score.s:.3f} (need s > 0.9)"
+        assert stderr_of(res) == str(GateError(score)) + "\n" == line + "\n"
 
     def test_empty_test_split_is_data_error(self, workdir, tmp_path):
         for command in (["eval", "--out", str(tmp_path / "r")], ["plan"]):

@@ -1,12 +1,14 @@
+import json
 import math
 import random
 import resource
 import tracemalloc
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, reject, settings, strategies as st
 
 from xplan import evaluation, predictor
 from xplan.data_model import MINIMIZE_RATE, Dataset, FeatureSpec, SplitSpec, split
@@ -16,7 +18,6 @@ from xplan.evaluation import (
     RunArtifacts,
     change_frequency,
     method_samples,
-    moved_rows,
     nearest_distances,
     read_jsonl,
     run_experiment,
@@ -26,10 +27,10 @@ from xplan.evaluation import (
     write_jsonl,
 )
 from xplan.num_core import DistanceConfig, distance, encode, squared_distance
-from xplan.planners import PlannerConfig
+from xplan.planners import Plan, PlannerConfig, apply_plan, check_constraints
 from xplan.predictor import ForestParams
 from tests import oracle
-from tests.conftest import planted_defect_data
+from tests.conftest import drawn_split, planted_defect_data
 from tests.test_num_core import schema_and_rows
 
 PARAMS = ForestParams(n_trees=15)
@@ -46,11 +47,24 @@ def experiment(tr, te, method, seed):
     return run_experiment(tr, te, method, arts)
 
 
+def moved_by(tr, te, method, arts):
+    """Positions of the test rows that the method's applied, unculled plans
+    change, by row comparison."""
+    moved = []
+    for i, z in enumerate(te.rows):
+        changed = apply_plan(z, arts.planners[method](i), tr)
+        if changed != z and not check_constraints(changed, arts.run.fm, tr):
+            moved.append(i)
+    return moved
+
+
 def report(tr, test_rows, changed_rows):
+    """``trust_report``'s (before, after) means for test rows and their
+    changed copies."""
     train = encode(tr.rows, DistanceConfig.from_dataset(tr))
-    test, changed = encode(test_rows, train.cfg), encode(changed_rows, train.cfg)
-    moved = moved_rows(test, changed)
-    return trust_report(train, moved, changed.take(moved), nearest_distances(train, test))
+    moved = [i for i, (z, c) in enumerate(zip(test_rows, changed_rows)) if c != z]
+    rows = encode([changed_rows[i] for i in moved], train.cfg)
+    return trust_report(train, moved, rows, nearest_distances(train, encode(test_rows, train.cfg)))
 
 
 class TestRunExperiment:
@@ -123,6 +137,98 @@ class TestRunExperiment:
             assert res.after == float(sum(1 for p in full if p))
 
 
+def seed_artifacts(source, data_seed, n_rows, seed):
+    """One seed's artifacts on ``drawn_split``'s data, all methods; a forest
+    that fails the gate rejects the example."""
+    tr, te, rules = drawn_split(source, data_seed, n_rows)
+    try:
+        return tr, te, RunArtifacts(tr, te, PlannerConfig(gamma=0.9), rules, PARAMS).for_seed(seed, ALL_METHODS)
+    except GateError:
+        reject()
+
+
+experiments = given(st.sampled_from(["planted", "config"]), st.integers(0, 2**32 - 1),
+                    st.integers(40, 160), st.integers(0, 99))
+
+
+class TestAgainstReference:
+    """``run_experiment`` finds the moved rows in the pass over its plans and
+    encodes only those; ``oracle.run_experiment`` encodes every changed row
+    and diffs the encodings. Their results are equal for every method."""
+
+    @settings(max_examples=40, deadline=None)
+    @experiments
+    def test_results_equal_the_reference(self, source, data_seed, n_rows, seed):
+        tr, te, arts = seed_artifacts(source, data_seed, n_rows, seed)
+        for method in ALL_METHODS:
+            got = run_experiment(tr, te, method, arts).to_json()
+            assert got == oracle.run_experiment(tr, te, method, arts).to_json(), method
+
+
+class TestExperimentInvariants:
+    """The planners' experiment-level invariants, over every method and
+    drawn planted or config data."""
+
+    @settings(max_examples=30, deadline=None)
+    @experiments
+    def test_identity_ratio_is_exactly_one(self, source, data_seed, n_rows, seed):
+        tr, te, arts = seed_artifacts(source, data_seed, n_rows, seed)
+        res = run_experiment(tr, te, "identity", arts)
+        assert res.ratio == 1.0 if res.ratio_defined else math.isnan(res.ratio)
+        assert (res.after, res.trust_after) == (res.before, res.trust_before)
+        assert (res.plans_emitted, res.empty_plans, res.changed_features) == (0, len(te.rows), [])
+
+    @settings(max_examples=30, deadline=None)
+    @experiments
+    def test_a_culled_plan_leaves_its_row_unmoved(self, source, data_seed, n_rows, seed):
+        self.check_culled(*seed_artifacts(source, data_seed, n_rows, seed))
+
+    def test_the_config_rules_cull_plans(self):
+        # a fixed case of the property above in which plans are culled
+        assert self.check_culled(*seed_artifacts("config", 0, 240, 1)) > 0
+
+    @staticmethod
+    def check_culled(tr, te, arts):
+        """Every method's culled plans leave their rows out of the measured
+        rows, which are exactly the rows the other plans change; they count
+        as empty plans and give the result of empty plans in their place.
+        Returns how many plans were culled."""
+        total = 0
+        for method in ALL_METHODS:
+            plans = [arts.planners[method](i) for i in range(len(te.rows))]
+            culled = {i for i, (z, plan) in enumerate(zip(te.rows, plans))
+                      if not plan.empty and check_constraints(apply_plan(z, plan, tr), arts.run.fm, tr)}
+            measured = []
+
+            def spy(train, moved, rows, before):
+                measured.extend(moved)
+                return trust_report(train, moved, rows, before)
+
+            with mock.patch.object(evaluation, "trust_report", spy):
+                res = run_experiment(tr, te, method, arts)
+            assert not culled & set(measured), method
+            assert measured == moved_by(tr, te, method, arts), method
+            assert res.empty_plans == sum(plan.empty for plan in plans) + len(culled)
+            emptied = {method: lambda i: Plan([], method) if i in culled else plans[i]}
+            same = run_experiment(tr, te, method, replace(arts, planners=emptied))
+            assert same.to_json() == res.to_json(), method
+            total += len(culled)
+        return total
+
+    @settings(max_examples=20, deadline=None)
+    @experiments
+    def test_the_same_seed_gives_the_same_plans(self, source, data_seed, n_rows, seed):
+        # the second run is built from fresh data and artifacts
+        tr, te, arts = seed_artifacts(source, data_seed, n_rows, seed)
+        tr2, te2, again = seed_artifacts(source, data_seed, n_rows, seed)
+        for method in ALL_METHODS:
+            for i in range(len(te.rows)):
+                plans = (arts.planners[method](i), again.planners[method](i))
+                assert json.dumps(plans[0].to_json()) == json.dumps(plans[1].to_json()), method
+            results = (run_experiment(tr, te, method, arts), run_experiment(tr2, te2, method, again))
+            assert results[0].to_json() == results[1].to_json(), method
+
+
 @pytest.fixture(scope="module")
 def repeats(halves):
     tr, te = halves
@@ -170,7 +276,7 @@ class TestRunRepeats:
             monkeypatch.setattr(evaluation, name, counted)
         # encodes and configs made by the harness or the forest (smote makes
         # its own, outside these modules)
-        encoded, configs, experiment = [], [], [None]
+        encoded, configs, experiment, moved = [], [], [None], {}
 
         def counted_encode(rows, cfg):
             encoded.append((rows, experiment[0]))
@@ -183,6 +289,7 @@ class TestRunRepeats:
                 return DistanceConfig.from_dataset(ds)
 
         def counted_experiment(train, test, method, arts):
+            moved[method, arts.seed] = len(moved_by(train, test, method, arts))
             experiment[0] = (method, arts.seed)
             try:
                 return run_experiment(train, test, method, arts)
@@ -200,9 +307,15 @@ class TestRunRepeats:
         assert configs == [tr]
         assert sum(rows is tr.rows for rows, _ in encoded) == 1
         assert sum(rows is te.rows for rows, _ in encoded) == 1
-        # the changed rows: one encode per experiment, for predict and trust alike
-        during = [(exp, len(rows)) for rows, exp in encoded if exp is not None]
-        assert sorted(during) == sorted(((m, s), len(te.rows)) for m in ALL_METHODS for s in (1, 2, 3))
+        # one encode per experiment, of exactly the rows its plans moved (none
+        # for identity), for predict and trust alike
+        during = {}
+        for rows, exp in encoded:
+            if exp is not None:
+                during.setdefault(exp, []).append(len(rows))
+        assert during == {exp: [n] for exp, n in moved.items()}
+        assert len(during) == 15 and {during["identity", s][0] for s in (1, 2, 3)} == {0}
+        assert all(during[m, s][0] for m in ("cd", "cdfs", "bic", "xtree") for s in (1, 2, 3))
 
     def test_cd_plans_once_per_row_and_rows_encoded_once(self, halves, monkeypatch):
         tr, te = halves
@@ -228,15 +341,15 @@ class TestRunRepeats:
 class TestTrustReport:
     def test_identity_rows_keep_their_distance(self, halves):
         tr, te = halves
-        rep = report(tr, te.rows, [list(r) for r in te.rows])
+        before, after = report(tr, te.rows, [list(r) for r in te.rows])
         dcfg = DistanceConfig.from_dataset(tr)
         measured = nearest_distances(encode(tr.rows, dcfg), encode(te.rows, dcfg))
-        assert rep.before_mean == rep.after_mean == float(np.mean(measured))
+        assert before == after == float(np.mean(measured))
 
     def test_training_rows_have_zero_distance(self, halves):
         tr, _ = halves
-        rep = report(tr, tr.rows[:5], tr.rows[:5])
-        assert rep.before_mean == pytest.approx(0.0, abs=1e-9)
+        before, _ = report(tr, tr.rows[:5], tr.rows[:5])
+        assert before == pytest.approx(0.0, abs=1e-9)
 
     def test_far_rows_reported_farther(self, halves):
         tr, te = halves
@@ -247,8 +360,8 @@ class TestTrustReport:
                 if f.role == "independent":
                     row[j] = 10_000.0
             outliers.append(row)
-        rep = report(tr, te.rows[:10], outliers)
-        assert rep.after_mean > rep.before_mean
+        before, after = report(tr, te.rows[:10], outliers)
+        assert after > before
 
     def test_unchanged_rows_keep_measured_distance(self, halves):
         # rows equal to their test row reuse the test distance; the result
@@ -257,10 +370,10 @@ class TestTrustReport:
         changed = [list(r) for r in te.rows[:20]]
         for row in changed[::3]:
             row[0] += 7.0
-        rep = report(tr, te.rows[:20], changed)
+        _, after = report(tr, te.rows[:20], changed)
         dcfg = DistanceConfig.from_dataset(tr)
         measured = nearest_distances(encode(tr.rows, dcfg), encode(changed, dcfg))
-        assert rep.after_mean == float(np.mean(measured))
+        assert after == float(np.mean(measured))
 
 
 class TestBlockedNearest:

@@ -18,8 +18,6 @@ change of results is intended and explained):
 """
 
 import json
-import math
-import random
 from pathlib import Path
 
 import pytest
@@ -30,19 +28,17 @@ from xplan.cli import main
 from xplan.evaluation import ALL_METHODS, run_repeats, write_jsonl
 from xplan.planners import PlannerConfig
 from xplan.predictor import ForestParams
-from tests.conftest import planted_defect_data
+from tests.conftest import config_runtime_data, planted_defect_data, save_csv
 
 GOLDEN = Path(__file__).parent / "golden"
 
+# The rules of ``config_runtime_data``, as a rule file.
 RULES = """\
 requires cache backend
 excludes ssl legacy
 xor fast small
 or logging metrics
 """
-# Additive runtime effect of each on/off option being on.
-EFFECTS = {"cache": -12.0, "backend": 4.0, "ssl": 9.0, "legacy": 6.0,
-           "fast": -10.0, "small": 14.0, "logging": 5.0, "metrics": 3.0}
 
 
 def write_planted(path):
@@ -53,24 +49,11 @@ def write_planted(path):
 
 
 def config_inputs(root, n_rows=240, seed=0):
-    """CSV, schema and rule file of a configurable system whose runtime is
-    a fixed 150 plus additive option and thread effects, with 2% noise.
-    Configurations are random and may break the rules, so plans that
-    copy them can be culled."""
-    rng = random.Random(seed)
-    lines = [",".join([*EFFECTS, "threads", "runtime"])]
-    for _ in range(n_rows):
-        on = {name: rng.random() < 0.5 for name in EFFECTS}
-        threads = rng.choice((1.0, 2.0, 4.0, 8.0))
-        runtime = 150.0 + sum(e for name, e in EFFECTS.items() if on[name])
-        runtime += 40.0 / math.sqrt(threads)
-        runtime *= 1.0 + rng.gauss(0.0, 0.02)
-        lines.append(",".join(["on" if on[n] else "off" for n in EFFECTS]
-                              + [repr(threads), repr(runtime)]))
-    (root / "data.csv").write_text("\n".join(lines) + "\n")
+    """CSV, schema and rule file of ``config_runtime_data``'s table."""
+    ds, _ = config_runtime_data(n_rows, seed)
+    save_csv(ds, root / "data.csv")
     schema = {"class_mode": "numeric",
-              "features": [{"name": n, "kind": "discrete"} for n in EFFECTS]
-              + [{"name": "threads"}, {"name": "runtime", "role": "dependent"}]}
+              "features": [{"name": f.name, "kind": f.kind, "role": f.role} for f in ds.features]}
     (root / "schema.json").write_text(json.dumps(schema))
     (root / "rules.txt").write_text(RULES)
 

@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 
 from xplan.data_model import (
     INDEPENDENT,
-    META,
     MINIMIZE_RATE,
     MINIMIZE_VALUE,
     NUMERIC,
@@ -36,7 +35,7 @@ from xplan.planners import (
     plan_xtree,
 )
 from xplan.where_cluster import ClusterConfig, ClusterSummary, cluster
-from tests.conftest import planted_defect_data, tree_of
+from tests.conftest import planted_defect_data, tree_of, with_meta
 
 
 def two_cluster_fixture():
@@ -268,12 +267,6 @@ class TestApplyPlan:
         z = [500.0, "a", True]
         with pytest.raises(DataError):
             apply_plan(z, Plan([Delta("bug", SET, False)]), self.ds)
-
-
-def with_meta(ds):
-    """ds with a meta column of row ids before its dependent."""
-    feats = ds.features[:-1] + [FeatureSpec("id", kind="discrete", role=META), ds.features[-1]]
-    return Dataset(feats, [r[:-1] + [f"r{k}", r[-1]] for k, r in enumerate(ds.rows)], ds.objective)
 
 
 class TestAppliedPlanInvariants:

@@ -477,17 +477,22 @@ class TestScores:
 class TestGate:
     def test_paper_threshold_examples(self):
         assert gate(ClassifierScore(65, 28))
-        assert not gate(ClassifierScore(60, 40))  # strict inequalities
+        # strict inequalities, each one on its own
+        assert not gate(ClassifierScore(60, 40))
+        assert not gate(ClassifierScore(60, 10))
+        assert not gate(ClassifierScore(90, 40))
 
     def test_alarm_ceiling(self):
         assert not gate(ClassifierScore(100, 100))
 
     def test_nan_rates_not_good(self):
         assert not gate(ClassifierScore(math.nan, 10))
+        assert not gate(ClassifierScore(90, math.nan))
 
     def test_regressor_threshold(self):
         assert gate(RegressorScore(0.95))
         assert not gate(RegressorScore(0.85))
+        assert not gate(RegressorScore(0.9))
         assert not gate(RegressorScore(math.nan))
 
 
