@@ -2,9 +2,12 @@
 
 Numeric columns are cut recursively at the midpoint that most reduces
 label entropy; a cut survives only if its information gain beats the MDL
-acceptance threshold. Each level scores all its cuts at once from
-cumulative label counts, with every entropy summed term by term exactly
-as counting the slice afresh would (see ``_level_cuts``).
+acceptance threshold. Each level scores all its cuts in one float scan
+of cumulative label counts, whose every score lies within
+``_SCORE_SLACK`` of the exact one, then scores again exactly the few
+cuts that can still be its best. Every score that decides a cut, and
+every bin's entropy, sums ``math.log2`` terms in the order labels first
+appear, as counting the slice afresh does (see ``_level_cuts``).
 ``mdl_discretize`` is the one binner: xtree's tree and the feature
 ranking both call it on arrays cut from the run's encoded table. Feature
 ranking scores each column by the expected label entropy over its bins
@@ -20,10 +23,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from xplan.data_model import NUMERIC
-from xplan.num_core import entropy, key_dtype
+from xplan.num_core import entropy
 
 
 _SCAN_CELLS = 1 << 12  # (cut, label) cells per block of a level's cut scan
+_SCORE_SLACK = 1e-9    # bounds a scanned score's error: 2e-13 at most seen up to 1,000 labels
 
 
 @dataclass
@@ -68,70 +72,60 @@ def _mdl_accepts(labels, left, right):
     return gain > threshold
 
 
+def _scan(codes, distinct):
+    """Every cut of a level that falls between distinct values (cut i falls
+    before position i; ``distinct[i - 1]`` tells whether values i - 1 and i
+    differ) and its scanned score, (i/n)·H(left) + ((n-i)/n)·H(right).
+
+    One pass scores the cuts in blocks of at most ``_SCAN_CELLS`` (cut,
+    label) cells, from cumulative label counts and a table of c·log2(c)
+    taken by ``np.log2``, so each score lies within ``_SCORE_SLACK`` of the
+    exact one. A level of fewer than two labels has no cut worth scoring."""
+    n = len(codes)
+    total = np.bincount(codes)
+    labels = np.flatnonzero(total)
+    if len(labels) < 2:
+        return np.empty(0, np.int64), np.empty(0)
+    total = total[labels]
+    c = np.arange(n + 1)
+    clogc = c * np.log2(np.maximum(c, 1))
+    left = 0  # label counts before the block
+    cuts, scores = [], []
+    step = max(1, _SCAN_CELLS // len(labels))
+    for start in range(1, n, step):
+        i = np.arange(start, min(n, start + step))
+        l_counts = np.cumsum(codes[i - 1, None] == labels, axis=0) + left
+        left = l_counts[-1]
+        between = distinct[i - 1]
+        i, l_counts = i[between], l_counts[between]
+        cuts.append(i)
+        scores.append((clogc[i] - clogc[l_counts].sum(axis=1)
+                       + clogc[n - i] - clogc[total - l_counts].sum(axis=1)) / n)
+    return np.concatenate(cuts), np.concatenate(scores)
+
+
 def _level_cuts(values, codes, distinct):
     """The cuts of one level and, below it, of both sides of its best cut.
-    ``codes`` are the labels as integers; ``distinct[i - 1]`` tells whether
-    values i - 1 and i differ, so that a cut may fall between them.
+    ``codes`` are the labels as integers; ``distinct`` is as in ``_scan``.
 
-    One pass over the level scores every cut, in blocks of at most
-    ``_SCAN_CELLS`` (cut, label) cells, from cumulative one-hot label
-    counts. Each side sums its entropy terms in the order in which labels
-    first appear on it, as ``Counter`` over the slice does: the left side
-    in the level's order, the right side sorted by each label's next
-    position. Every p * log2(p) takes ``math.log2``. So every entropy and
-    cut equals counting afresh."""
-    n = len(codes)
-    seen, first = np.unique(codes, return_index=True)
-    k = len(seen)
-    if k < 2:
+    ``_scan`` scores every cut within ``_SCORE_SLACK``; only the cuts that
+    score within twice that of its best can be the exact best, and those
+    are scored again as counting each side afresh does: ``_label_entropy``
+    sums its ``math.log2`` terms in the order labels first appear on the
+    side. The first exact minimum wins, so every cut equals the quadratic
+    search's."""
+    cuts, scores = _scan(codes, distinct)
+    if not len(cuts):
         return []
-    order = np.empty(seen[-1] + 1, np.int64)  # labels renumbered by first appearance
-    order[seen[np.argsort(first)]] = np.arange(k)
-    codes, labels = order[codes], np.arange(k)
-    total = np.bincount(codes, minlength=k)
-    right = np.zeros(k, np.int64)  # label counts at and after the block's end ...
-    after = np.full(k, n)          # ... and each label's first position there (n: none)
-    scanned = []
-    step = max(1, _SCAN_CELLS // k)
-    for end in range(n, 1, -step):  # blocks of cuts i (before position i), right to left
-        i = np.arange(max(1, end - step), end)
-        hot = codes[i, None] == labels
-        r_counts = np.cumsum(hot[::-1], axis=0)[::-1] + right
-        nxt = np.minimum(np.minimum.accumulate(np.where(hot, i[:, None], n)[::-1], axis=0)[::-1], after)
-        right, after = r_counts[0], nxt[0]
-        between = distinct[i - 1]  # cuts that fall between distinct values
-        if between.any():
-            i, r_counts, nxt = i[between], r_counts[between], nxt[between]
-            l_counts = total - r_counts
-            # unique keys, so a plain sort orders each cut's labels by next position
-            keys = (nxt * k + labels).astype(key_dtype(n * k + k))
-            r_counts = np.take_along_axis(r_counts, np.sort(keys, axis=1) % k, axis=1)
-            terms = _plogp(np.stack([l_counts, r_counts]), np.stack([i, n - i])[:, :, None])
-            ent = np.zeros((2, len(i)))
-            for column in terms.transpose(2, 0, 1):
-                ent -= column
-            scanned.append((i, (i / n) * ent[0] + ((n - i) / n) * ent[1]))
-    if not scanned:
-        return []
-    i, e = (np.concatenate(a[::-1]) for a in zip(*scanned))
-    i = int(i[np.argmin(e)])  # the first best cut
-    level = codes.tolist()
+    level, n = codes.tolist(), len(codes)
+    near = cuts[scores <= scores.min() + 2 * _SCORE_SLACK].tolist()
+    i = min(near, key=lambda i: (i / n) * _label_entropy(level[:i])
+            + ((n - i) / n) * _label_entropy(level[i:]))  # min keeps the first of equals
     if not _mdl_accepts(level, level[:i], level[i:]):
         return []
     cut = (values[i - 1] + values[i]) / 2
     return (_level_cuts(values[:i], codes[:i], distinct[:i - 1]) + [cut]
             + _level_cuts(values[i:], codes[i:], distinct[i:]))
-
-
-def _plogp(counts, totals):
-    """p * log2(p) of each p = count / total, 0.0 where the count is 0;
-    ``math.log2`` runs once per distinct p."""
-    p = counts / totals
-    distinct, inverse = np.unique(p, return_inverse=True)
-    logs = np.zeros(len(distinct))
-    some = int(distinct[0] == 0)  # a zero count sorts first
-    logs[some:] = np.fromiter(map(math.log2, distinct[some:].tolist()), float, len(distinct) - some)
-    return p * logs[inverse.reshape(p.shape)]
 
 
 def mdl_discretize(column, labels, feature=""):

@@ -58,10 +58,12 @@ from xplan.where_cluster import ClusterConfig, cluster
 ALL_METHODS = ("identity", "cd", "cdfs", "bic", "xtree")
 # Distances per block of nearest_distances, which sizes its two buffers. On a
 # 2-core VM a 1000x3000 planted matrix took 0.068, 0.048, 0.038, 0.028, 0.033
-# and 0.044 s at 2^13 ... 2^18 cells (median of 7). 2^16 is faster, but its
-# 1 MB of buffers kept a config-runtime eval's peak RSS at 37.4 MB, while
-# 2^15's 0.5 MB let it fall to 36.8 MB.
-_BLOCK_CELLS = 1 << 15
+# and 0.044 s at 2^13 ... 2^18 cells (median of 7). Larger blocks are faster,
+# but the buffers arrive while a seed's artifacts are resident: 2^15's 0.5 MB
+# found no free heap and mapped fresh pages, raising a planted-600 eval's peak
+# RSS by 0.4-0.5 MB, at 5 of 10 checkout path lengths tried; 2^14's 0.25 MB
+# at none.
+_BLOCK_CELLS = 1 << 14
 
 
 @dataclass

@@ -511,7 +511,7 @@ def _grow_trees(X, y, mode, params):
                l_total[found], l_pure[found])
     if mode == REGRESS:  # each leaf's mean: a row sum sums pairwise, as np.mean does
         node, first, size = (np.concatenate(a) for a in zip(*leaves))
-        for m in np.unique(size).tolist():
+        for m in np.flatnonzero(np.bincount(size)).tolist():  # a bare np.unique loads numpy.ma
             group, step = np.flatnonzero(size == m), max(1, _CELL_CAP // m)
             for g in (group[lo:lo + step] for lo in range(0, len(group), step)):
                 trees.value[node[g]] = y[rows[first[g, None] + np.arange(m)]].sum(axis=1) / m

@@ -2,7 +2,7 @@
 exactly: the scalar row distance that the encoded kernel replaced, the
 allocating kernel that the buffered one replaced, the forest's own row
 encoder that ``num_core.encode`` replaced, the quadratic MDL cut search
-that the one-scan search replaced, the recursive CART grower and
+that the scan-and-recount search must match, the recursive CART grower and
 predictor that the lockstep forest replaced, the row-list xtree tree
 and feature ranking that now read the encoded table, and the experiment
 that encoded every changed row to find the moved ones."""
@@ -127,21 +127,28 @@ class Encoder:
         return out
 
 
+def cut_score(labels, i):
+    """The expected label entropy of the cut before position i, counting
+    both sides afresh."""
+    n = len(labels)
+    ent = lambda labs: entropy(Counter(labs).values())
+    return (i / n) * ent(labels[:i]) + ((n - i) / n) * ent(labels[i:])
+
+
 def find_cuts(pairs):
     """Recursive cut search over (value, label) pairs sorted by value,
-    counting both sides afresh at every candidate cut."""
+    scoring every candidate cut by ``cut_score``."""
     n = len(pairs)
     if n < 2:
         return []
     labels = [lab for _, lab in pairs]
     if len(set(labels)) < 2:
         return []
-    ent = lambda labs: entropy(Counter(labs).values())
     best = None
     for i in range(1, n):
         if pairs[i][0] == pairs[i - 1][0]:
             continue
-        e = (i / n) * ent(labels[:i]) + ((n - i) / n) * ent(labels[i:])
+        e = cut_score(labels, i)
         if best is None or e < best[0]:
             best = (e, i)
     if best is None:

@@ -44,6 +44,26 @@ def base_args(workdir, *extra):
 runner = CliRunner()
 
 
+def heavy_modules_loaded_by_eval(workdir, tmp_path, *extra):
+    """The modules an eval of identity and xtree on ``workdir``'s inputs
+    should never load but did, as the child process prints their list."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    script = ("import sys\n"
+              "from xplan.cli import main\n"
+              "try:\n"
+              "    main(sys.argv[1:])\n"
+              "except SystemExit as exc:\n"
+              "    assert not exc.code, exc.code\n"
+              "print(sorted({'numpy.random', 'secrets', '_hashlib', 'statistics', 'fractions',\n"
+              "              'decimal', 'numpy.ma'} & set(sys.modules)))\n")
+    proc = subprocess.run([sys.executable, "-c", script, "eval", *base_args(
+        workdir, "--methods", "identity,xtree", "--out", str(tmp_path / "r"), *extra)],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip().splitlines()[-1]
+
+
 def stderr_of(res):
     try:
         return res.stderr
@@ -225,22 +245,16 @@ class TestEval:
         # the forest replays each tree's PCG64 stream itself: numpy.random
         # would load secrets, hashlib and OpenSSL's libcrypto, several MB
         # of resident memory; Scott-Knott takes its means and quartiles
-        # itself: statistics would load fractions and decimal
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
-        script = ("import sys\n"
-                  "from xplan.cli import main\n"
-                  "try:\n"
-                  "    main(sys.argv[1:])\n"
-                  "except SystemExit as exc:\n"
-                  "    assert not exc.code, exc.code\n"
-                  "print(sorted({'numpy.random', 'secrets', '_hashlib', 'statistics', 'fractions',\n"
-                  "              'decimal'} & set(sys.modules)))\n")
-        proc = subprocess.run([sys.executable, "-c", script, "eval", *base_args(
-            workdir, "--methods", "identity,xtree", "--out", str(tmp_path / "r"))],
-            capture_output=True, text=True, env=env)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip().splitlines()[-1] == "[]"
+        # itself: statistics would load fractions and decimal; a bare
+        # np.unique loads numpy.ma, about 1 MB
+        assert heavy_modules_loaded_by_eval(workdir, tmp_path) == "[]"
+
+    def test_numeric_dependent_eval_loads_no_numpy_ma(self, tmp_path):
+        # the regression forest's leaf means and the rule file's culling
+        # run only on a numeric dependent
+        config_inputs(tmp_path)
+        assert heavy_modules_loaded_by_eval(
+            tmp_path, tmp_path, "--constraints", str(tmp_path / "rules.txt")) == "[]"
 
     def test_unknown_method_exits_1(self, workdir, tmp_path):
         res = runner.invoke(main, ["eval"] + base_args(

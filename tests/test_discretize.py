@@ -2,6 +2,7 @@ import math
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -174,8 +175,9 @@ class TestCutScanMatchesQuadraticSearch:
 
     @pytest.mark.parametrize("pairs", SLICE_ORDER_CASES)
     def test_slice_order_carried_across_scan_blocks(self, pairs, monkeypatch):
-        # one cut per scan block: each block must carry the right side's
-        # counts and label order from the blocks after it
+        # one cut per scan block: each block must carry the left side's
+        # counts from the blocks before it, and the recount keeps the
+        # slice order
         monkeypatch.setattr(discretize, "_SCAN_CELLS", 1)
         assert cuts_of(pairs) == oracle.find_cuts(pairs)
 
@@ -186,6 +188,70 @@ class TestCutScanMatchesQuadraticSearch:
         pairs = sorted(zip(values, labels), key=lambda p: p[0])
         cuts = cuts_of(pairs)
         assert cuts and cuts == oracle.find_cuts(pairs)
+
+
+@st.composite
+def mirrored_pairs(draw):
+    """Two labels in value order that equal their own reverse with the
+    labels swapped, over values whose ties mirror too: cuts i and n - i
+    score exactly alike, so a best cut off the middle is always tied."""
+    m = draw(st.integers(1, 200))
+    bands = draw(st.integers(1, 6))
+    noise = draw(st.sampled_from([0.0, 0.1, 0.3]))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    half = [j * bands // m % 2 if rng.random() >= noise else rng.randrange(2) for j in range(m)]
+    labels = half + [1 - lab for lab in reversed(half)]
+    steps = [rng.random() < 0.7 for _ in range(m - 1)]  # steps[j]: values j and j + 1 differ
+    values = np.cumsum([0] + steps + [rng.random() < 0.7] + steps[::-1])
+    return [(float(v), f"c{lab}") for v, lab in zip(values, labels)]
+
+
+@st.composite
+def scan_levels(draw):
+    """One level's integer labels, up to 3,000 rows and 1,000 labels in
+    value bands with some noise, and which neighbouring values differ."""
+    n = draw(st.integers(2, 3000))
+    k = draw(st.integers(2, 1000))
+    noise = draw(st.sampled_from([0.0, 0.3, 1.0]))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    codes = [j * k // n if rng.random() >= noise else rng.randrange(k) for j in range(n)]
+    return np.array(codes), np.array([rng.random() < 0.8 for _ in range(n - 1)], bool)
+
+
+def assert_scan_within_quarter_slack(codes, distinct):
+    labels = codes.tolist()
+    cuts, scores = discretize._scan(codes, distinct)
+    if len(set(labels)) > 1:
+        assert cuts.tolist() == [i for i in range(1, len(labels)) if distinct[i - 1]]
+    for i, score in zip(cuts.tolist(), scores.tolist()):
+        assert abs(score - oracle.cut_score(labels, i)) <= discretize._SCORE_SLACK / 4
+
+
+class TestScanRecount:
+    """Only cuts that scan within twice ``_SCORE_SLACK`` of the best are
+    scored again exactly, which is sound while every scanned score lies
+    within ``_SCORE_SLACK`` of its exact score."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(mirrored_pairs())
+    def test_exactly_tied_best_cuts_keep_the_first(self, pairs):
+        assert cuts_of(pairs) == oracle.find_cuts(pairs)
+
+    def test_mirrored_labels_tie_exactly(self):
+        labels = [0, 0, 1, 0, 0, 0, 1, 1, 1, 0, 1, 1]
+        assert labels[::-1] == [1 - lab for lab in labels]
+        assert all(oracle.cut_score(labels, i) == oracle.cut_score(labels, 12 - i)
+                   for i in range(1, 12))
+
+    @settings(max_examples=15, deadline=None)
+    @given(scan_levels())
+    def test_scanned_scores_within_a_quarter_slack(self, level):
+        assert_scan_within_quarter_slack(*level)
+
+    def test_thousand_labels_over_three_thousand_rows(self):
+        rng = random.Random(3)
+        codes = np.array([rng.randrange(1000) for _ in range(3000)])
+        assert_scan_within_quarter_slack(codes, np.ones(2999, bool))
 
 
 def cluster_fixture():

@@ -1,8 +1,10 @@
 """The repository's own rules about ``src/``: the benchmark's tracer can
-still find every function it wraps, and no module imports another
-module's private names."""
+still find every function it wraps, the traced benchmark still reports
+every per-layer metric, and no module imports another module's private
+names."""
 
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -20,6 +22,26 @@ def test_bench_tracer_installs_on_src():
     proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_traced_benchmark_reports_every_layer_metric():
+    # the benchmark's last line is its result: a per-call percentile is
+    # written only for a span called often enough, and json.dumps writes a
+    # non-finite metric as a bare NaN, which is not JSON; one untraced and
+    # one traced eval of planted-600
+    proc = subprocess.run([sys.executable, "bench/run.py", "--workload", "planted-600", "--seed", "1",
+                           "--seconds", "0", "--trace", "1"],
+                          cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+
+    def non_finite(token):
+        raise ValueError(f"non-finite metric: {token}")
+
+    result = json.loads(proc.stdout.strip().splitlines()[-1], parse_constant=non_finite)
+    assert result["correct"]
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
+    assert declared
+    assert [m["name"] for m in declared if m["name"] not in result["metrics"]] == []
 
 
 def test_no_private_names_imported_across_modules():
