@@ -32,7 +32,7 @@ EXIT_DATA = 1
 EXIT_GATE = 2
 
 
-def _load_config_file(ctx, param, value):
+def _load_config_file(ctx, _param, value):
     """--config supplies defaults keyed by option name; explicit flags win."""
     if value is None:
         return None

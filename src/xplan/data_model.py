@@ -118,10 +118,14 @@ def dependent_score(dep_values, objective):
         raise DataError("empty group has no score")
     if objective == MINIMIZE_RATE:
         return sum(1 for v in dep_values if v) / len(dep_values)
-    vals = sorted(dep_values)
-    n = len(vals)
-    mid = n // 2
-    return vals[mid] if n % 2 else (vals[mid - 1] + vals[mid]) / 2
+    return median(dep_values)
+
+
+def median(values):
+    """``statistics.median``: the middle value, or the mean of the two middle values."""
+    vals = sorted(values)
+    i = len(vals) // 2
+    return vals[i] if len(vals) % 2 else (vals[i - 1] + vals[i]) / 2
 
 
 def load_schema(path):

@@ -140,21 +140,10 @@ def locate_leaf(tree, row, ds):
     largest child."""
     node = tree
     while not node.is_leaf:
-        i = ds.index(node.split_feature)
-        v = row[i]
-        chosen = None
-        if v is not None:
-            for cond, child in node.branches:
-                if isinstance(cond, Bin):
-                    if cond.contains(v):
-                        chosen = child
-                        break
-                elif cond == v:
-                    chosen = child
-                    break
-        if chosen is None:
-            chosen = max((child for _, child in node.branches), key=lambda c: len(c.members))
-        node = chosen
+        v = row[ds.index(node.split_feature)]
+        fits = (child for cond, child in node.branches
+                if v is not None and (cond.contains(v) if isinstance(cond, Bin) else cond == v))
+        node = next(fits, None) or max((child for _, child in node.branches), key=lambda c: len(c.members))
     return node
 
 
@@ -172,7 +161,7 @@ def branch_path(leaf):
     return list(reversed(path))
 
 
-def siblings_at_level(tree, leaf, lvl):
+def siblings_at_level(leaf, lvl):
     """Leaves reachable from the ancestor lvl levels up, minus the leaf.
 
     Returns None once lvl would climb above the root (search exhausted).

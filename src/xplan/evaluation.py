@@ -11,7 +11,8 @@ shares. An experiment finds the rows its plans moved in the pass that
 applies and culls the plans, and encodes, re-predicts and measures only
 those; every other row keeps the seed's prediction and its nearest
 distance, which no seed changes. Artifacts that no seed changes are built
-once per run.
+once per run: xtree's tree, each test row's leaf and each leaf's target
+among them, so a seed's xtree plans only draw their samples.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import numpy as np
 
 from xplan.data_model import DataError, read_lines
 from xplan.discretize import rank_features
-from xplan.decision_tree import build_tree
+from xplan.decision_tree import build_tree, locate_leaf
 from xplan.num_core import DistanceConfig, distance, encode, squared_distance
 from xplan.planners import (
     Plan,
@@ -40,6 +41,7 @@ from xplan.planners import (
     plan_cd,
     plan_cdfs,
     plan_xtree,
+    xtree_targets,
 )
 from xplan.predictor import (
     CLASSIFY,
@@ -112,8 +114,8 @@ class RunArtifacts:
     """One train/test split with its planner settings, feature model and
     forest parameters, plus what every seed of a run shares: the encoded
     train and test rows, the forest's input and, built on first use,
-    xtree's tree with its leaf centroids (``build_tree`` draws no random
-    numbers; it reads the encoded training rows and the forest's targets)
+    xtree's target for each test row (its tree, each row's leaf and each
+    leaf's target are built once; ``build_tree`` draws no random numbers)
     and each test row's distance to its nearest training row. Each seed's
     feature ranking reads the encoded training rows too."""
 
@@ -129,9 +131,12 @@ class RunArtifacts:
         self.forest_input = forest_input(train, self.encoded_train)
 
     @cached_property
-    def tree(self):
+    def xtree_row_targets(self):
+        """xtree's target of each test row's leaf, in the tree grown on the forest's targets."""
         _, targets, *_ = self.forest_input
-        return build_tree(self.train, self.encoded_train, targets, self.cfg.alpha)
+        tree = build_tree(self.train, self.encoded_train, targets, self.cfg.alpha)
+        by_leaf = xtree_targets(tree, self.cfg.gamma)
+        return [by_leaf[locate_leaf(tree, z, self.test).leaf_pos] for z in self.test.rows]
 
     @cached_property
     def nearest(self):
@@ -162,15 +167,16 @@ class RunArtifacts:
         wanted = set(methods)
         planners = {"identity": lambda i: Plan([], "identity")}
         if "xtree" in wanted:
-            tree = self.tree
-            planners["xtree"] = lambda i: plan_xtree(tree, test.rows[i], cfg, random.Random(f"{seed}:{i}"), train)
+            xtree_rows = self.xtree_row_targets
+            planners["xtree"] = lambda i: plan_xtree(xtree_rows[i], random.Random(f"{seed}:{i}"), train)
         if wanted & {"cd", "cdfs", "bic"}:
             rng = random.Random(f"{seed}:artifacts")
             clusters = cluster(train, ClusterConfig(cfg.alpha), rng, self.encoded_train)
             centroids = encode([c.centroid for c in clusters], self.dcfg)
             to_centroids = distance(self.encoded_test, centroids)
+            between = distance(centroids, centroids).tolist()
         if wanted & {"cd", "cdfs"}:
-            targets = cd_targets(clusters, centroids)
+            targets = cd_targets(clusters, between)
             cd_plans = [plan_cd(clusters, targets, d, train) for d in to_centroids]
             planners["cd"] = lambda i: cd_plans[i]
         if wanted & {"cdfs", "bic"}:
@@ -179,7 +185,7 @@ class RunArtifacts:
         if "cdfs" in wanted:
             planners["cdfs"] = lambda i: plan_cdfs(cd_plans[i], ranking)
         if "bic" in wanted:
-            gradients = bic_gradients(clusters, centroids)
+            gradients = bic_gradients(clusters, between)
             planners["bic"] = lambda i: plan_bic(gradients, ranking, test.rows[i], to_centroids[i], train)
         return planners
 

@@ -12,9 +12,8 @@ import math
 from dataclasses import dataclass, field
 
 from xplan.data_model import INDEPENDENT, NUMERIC, DataError, read_lines
-from xplan.decision_tree import branch_path, locate_leaf, siblings_at_level
+from xplan.decision_tree import branch_path, siblings_at_level
 from xplan.discretize import Bin
-from xplan.num_core import distance
 from xplan.where_cluster import nearest_cluster
 
 SHIFT = "shift"    # numeric: add delta, clamp to training bounds
@@ -78,12 +77,13 @@ def _centroid_deltas(src, dst, ds):
 
 
 # cd and bic take the clusters in index order, as ``cluster`` returns them,
-# and their encoded centroids or a row's distances to them in that order.
+# and their centroids' distances to each other or a row's distances to them
+# in that order.
 
-def cd_targets(clusters, centroids):
+def cd_targets(clusters, d):
     """Method1's target of each cluster: the closest strictly better
-    cluster (lowest index on ties), or None."""
-    d = distance(centroids, centroids).tolist()
+    cluster (lowest index on ties), or None. d holds the centroids'
+    distances to each other, as lists."""
     return [
         min((o for o in clusters if o.score < c.score),
             key=lambda o: (d[c.index][o.index], o.index), default=None)
@@ -108,11 +108,10 @@ def plan_cdfs(base, ranking):
     return Plan([d for d in base.deltas if d.feature in keep], "cdfs", base.provenance)
 
 
-def bic_gradients(clusters, centroids):
+def bic_gradients(clusters, d):
     """Method3's inter-centroid gradients: each cluster paired with its
-    nearest neighbour cluster as (bottom, top), worse end first; pairs
-    of equal score are skipped."""
-    d = distance(centroids, centroids).tolist()
+    nearest neighbour cluster (by d, as ``cd_targets`` takes it) as
+    (bottom, top), worse end first; pairs of equal score are skipped."""
     gradients = []
     for c in clusters:
         others = (o for o in clusters if o is not c)
@@ -139,44 +138,47 @@ def plan_bic(gradients, ranking, z, to_centroids, ds):
     return Plan(deltas, "bic", {"bottom": bottom.index, "top": top.index})
 
 
-def plan_xtree(tree, z, cfg, rng, ds):
-    """Method4: climb from the row's leaf until a much-better sibling leaf
-    exists, then emit the branch-condition set difference as the plan."""
-    current = locate_leaf(tree, z, ds)
-    lvl = 0
-    desired = None
-    while True:
-        siblings = siblings_at_level(tree, current, lvl)
+def xtree_targets(tree, gamma):
+    """Method4's search, which no seed changes: for each leaf, in
+    ``leaf_pos`` order, climb until a much-better sibling leaf exists and
+    keep the branch conditions of its path that the leaf's path lacks (the
+    deepest per feature) with the search's provenance, as
+    ``(picked, provenance)``; None when the climb passes the root."""
+    targets = []
+    for current in tree.leaves():
+        lvl = 0
+        while (siblings := siblings_at_level(current, lvl)) is not None:
+            better = [s for s in siblings if s.score < gamma * current.score]
+            if better:
+                break
+            lvl += 1
         if siblings is None:
-            return Plan([], "xtree", {"exhausted": True})
-        better = [s for s in siblings if s.score < cfg.gamma * current.score]
-        if better:
-            near = tree.leaf_distances[current.leaf_pos]
-            desired = min(better, key=lambda s: near[s.leaf_pos])  # leftmost on ties
-            break
-        lvl += 1
-
-    cur_path = branch_path(current)
-    want_path = branch_path(desired)
-    cur_set = {(f, _cond_key(c)) for f, c in cur_path}
-    picked = {}
-    for fname, cond in want_path:
-        if (fname, _cond_key(cond)) in cur_set:
+            targets.append(None)
             continue
-        picked[fname] = cond  # deepest condition per feature wins
-    deltas = [_cond_delta(fname, cond, z, ds, rng) for fname, cond in picked.items()]
-    return Plan(
-        [d for d in deltas if d is not None],
-        "xtree",
-        {"lvl": lvl, "current_score": current.score, "desired_score": desired.score},
-    )
+        near = tree.leaf_distances[current.leaf_pos]
+        desired = min(better, key=lambda s: near[s.leaf_pos])  # leftmost on ties
+        cur_set = {(f, _cond_key(c)) for f, c in branch_path(current)}
+        # the deepest condition per feature wins
+        picked = {f: c for f, c in branch_path(desired) if (f, _cond_key(c)) not in cur_set}
+        provenance = {"lvl": lvl, "current_score": current.score, "desired_score": desired.score}
+        targets.append((list(picked.items()), provenance))
+    return targets
+
+
+def plan_xtree(target, rng, ds):
+    """Method4: the row's leaf's target from ``xtree_targets`` as a plan,
+    each range condition resolved to one draw from rng."""
+    if target is None:
+        return Plan([], "xtree", {"exhausted": True})
+    picked, provenance = target
+    return Plan([_cond_delta(fname, cond, ds, rng) for fname, cond in picked], "xtree", dict(provenance))
 
 
 def _cond_key(cond):
     return (cond.lo, cond.hi) if isinstance(cond, Bin) else cond
 
 
-def _cond_delta(fname, cond, z, ds, rng):
+def _cond_delta(fname, cond, ds, rng):
     if not isinstance(cond, Bin):
         return Delta(fname, SET, cond)
     lo, hi = cond.lo, cond.hi

@@ -13,6 +13,8 @@ import math
 import random
 from dataclasses import asdict, dataclass
 
+from xplan.data_model import median
+
 BOOTSTRAPS = 512
 CONFIDENCE = 0.99
 A12_SMALL = 0.6
@@ -28,19 +30,13 @@ class MethodSamples:
         return median(self.values)
 
 
-# fmean, median and quartiles take the float steps of the ``statistics``
-# functions they stand for; that module loads ``fractions`` and ``decimal``
+# fmean, median (``data_model``'s) and quartiles take the float steps of the
+# ``statistics`` functions they stand for; that module loads ``fractions`` and
+# ``decimal``
 
 def fmean(xs):
     """``statistics.fmean`` of a non-empty list: its exactly rounded sum over its length."""
     return math.fsum(xs) / len(xs)
-
-
-def median(values):
-    """``statistics.median``: the middle value, or the mean of the two middle values."""
-    vals = sorted(values)
-    i = len(vals) // 2
-    return vals[i] if len(vals) % 2 else (vals[i - 1] + vals[i]) / 2
 
 
 def quartiles(values):

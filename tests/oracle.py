@@ -4,7 +4,8 @@ allocating kernel that the buffered one replaced, the forest's own row
 encoder that ``num_core.encode`` replaced, the quadratic MDL cut search
 that the scan-and-recount search must match, the recursive CART grower and
 predictor that the lockstep forest replaced, the row-list xtree tree
-and feature ranking that now read the encoded table, and the experiment
+and feature ranking that now read the encoded table, the xtree planner
+that searched each row's target again for every seed, and the experiment
 that encoded every changed row to find the moved ones."""
 
 import math
@@ -13,11 +14,11 @@ from collections import Counter
 import numpy as np
 
 from xplan.data_model import DISCRETE, INDEPENDENT, MINIMIZE_RATE, NUMERIC, dependent_score
-from xplan.decision_tree import MIN_GAIN, TreeNode
+from xplan.decision_tree import MIN_GAIN, TreeNode, branch_path, locate_leaf, siblings_at_level
 from xplan.discretize import Bin, _mdl_accepts
 from xplan.evaluation import ExperimentResult, nearest_distances
 from xplan.num_core import DistanceConfig, distance_matrix, encode, entropy
-from xplan.planners import Plan, apply_plan, check_constraints
+from xplan.planners import SAMPLE, SET, Delta, Plan, apply_plan, check_constraints
 from xplan.predictor import CLASSIFY
 from xplan.where_cluster import ClusterConfig, centroid_of
 
@@ -423,6 +424,50 @@ def build_tree(train, alpha=None):
     centroids = [leaf.centroid for leaf in leaves]
     root.leaf_distances = distance_matrix(centroids, centroids, DistanceConfig.from_dataset(train)).tolist()
     return root
+
+
+def plan_xtree(tree, z, cfg, rng, ds):
+    """xtree's plan for row z as it was searched for each row of each seed:
+    climb from the row's leaf until a much-better sibling leaf exists, then
+    emit the branch-condition set difference, each range condition drawn
+    from rng."""
+    current = locate_leaf(tree, z, ds)
+    lvl = 0
+    while True:
+        siblings = siblings_at_level(current, lvl)
+        if siblings is None:
+            return Plan([], "xtree", {"exhausted": True})
+        better = [s for s in siblings if s.score < cfg.gamma * current.score]
+        if better:
+            near = tree.leaf_distances[current.leaf_pos]
+            desired = min(better, key=lambda s: near[s.leaf_pos])  # leftmost on ties
+            break
+        lvl += 1
+
+    def key(cond):
+        return (cond.lo, cond.hi) if isinstance(cond, Bin) else cond
+
+    cur_set = {(f, key(c)) for f, c in branch_path(current)}
+    picked = {}
+    for fname, cond in branch_path(desired):
+        if (fname, key(cond)) in cur_set:
+            continue
+        picked[fname] = cond  # deepest condition per feature wins
+    deltas = []
+    for fname, cond in picked.items():
+        if not isinstance(cond, Bin):
+            deltas.append(Delta(fname, SET, cond))
+            continue
+        lo, hi = cond.lo, cond.hi
+        blo, bhi = ds.bounds.get(fname, (0.0, 0.0))
+        if lo == -math.inf:
+            lo = min(blo, hi)
+        if hi == math.inf:
+            hi = max(bhi, lo)
+        value = lo if hi <= lo else rng.uniform(lo, hi)
+        deltas.append(Delta(fname, SAMPLE, value, lo=lo, hi=hi))
+    provenance = {"lvl": lvl, "current_score": current.score, "desired_score": desired.score}
+    return Plan(deltas, "xtree", provenance)
 
 
 def moved_rows(test, changed):

@@ -137,14 +137,14 @@ class TestLocateLeaf:
 class TestSiblings:
     def setup_method(self):
         self.ds = binary_signal_ds()
-        self.tree = tree_of(self.ds, alpha=5)
-        self.leaf = locate_leaf(self.tree, self.ds.rows[0], self.ds)
+        tree = tree_of(self.ds, alpha=5)
+        self.leaf = locate_leaf(tree, self.ds.rows[0], self.ds)
 
     def test_level_zero_has_no_siblings(self):
-        assert siblings_at_level(self.tree, self.leaf, 0) == []
+        assert siblings_at_level(self.leaf, 0) == []
 
     def test_level_one_finds_the_other_leaf(self):
-        sibs = siblings_at_level(self.tree, self.leaf, 1)
+        sibs = siblings_at_level(self.leaf, 1)
         assert self.leaf not in sibs
         assert len(sibs) >= 1
 
@@ -154,7 +154,7 @@ class TestSiblings:
         while node.parent is not None:
             node = node.parent
             depth += 1
-        assert siblings_at_level(self.tree, self.leaf, depth + 1) is None
+        assert siblings_at_level(self.leaf, depth + 1) is None
 
 
 class TestBranchPath:

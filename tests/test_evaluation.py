@@ -3,6 +3,7 @@ import math
 import random
 import resource
 import tracemalloc
+from collections import Counter
 from dataclasses import replace
 from unittest import mock
 
@@ -266,7 +267,8 @@ class TestRunRepeats:
 
     def test_each_artifact_built_once(self, halves, monkeypatch):
         calls = {}
-        for name in ("train_forest", "cluster", "rank_features", "build_tree"):
+        for name in ("train_forest", "cluster", "rank_features", "build_tree",
+                     "xtree_targets", "locate_leaf"):
             fn = getattr(evaluation, name)
 
             def counted(*args, _fn=fn, _name=name, **kwargs):
@@ -300,10 +302,23 @@ class TestRunRepeats:
             monkeypatch.setattr(module, "encode", counted_encode)
             monkeypatch.setattr(module, "DistanceConfig", CountedConfig)
         monkeypatch.setattr(evaluation, "run_experiment", counted_experiment)
+        planned = Counter()  # xtree plans by the experiment that asked for them
+        plan_xtree = evaluation.plan_xtree
+
+        def counted_plan_xtree(*args):
+            planned[experiment[0]] += 1
+            return plan_xtree(*args)
+
+        monkeypatch.setattr(evaluation, "plan_xtree", counted_plan_xtree)
         tr, te = halves
         results = run_repeats(tr, te, ALL_METHODS, PlannerConfig(), n=3, forest_params=PARAMS)
         assert {m: len(rs) for m, rs in results.items()} == {m: 3 for m in ALL_METHODS}
-        assert calls == {"train_forest": 3, "cluster": 3, "rank_features": 3, "build_tree": 1}
+        # xtree's tree, each test row's leaf and each leaf's target once per
+        # run; its plans once per row and seed (moved_by plans them again,
+        # outside the experiments)
+        assert calls == {"train_forest": 3, "cluster": 3, "rank_features": 3, "build_tree": 1,
+                         "xtree_targets": 1, "locate_leaf": len(te.rows)}
+        assert planned == {**{("xtree", s): len(te.rows) for s in (1, 2, 3)}, None: 3 * len(te.rows)}
         assert configs == [tr]
         assert sum(rows is tr.rows for rows, _ in encoded) == 1
         assert sum(rows is te.rows for rows, _ in encoded) == 1

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, reject, settings, strategies as st
 
 from xplan.data_model import (
     INDEPENDENT,
@@ -33,9 +33,12 @@ from xplan.planners import (
     plan_cd,
     plan_cdfs,
     plan_xtree,
+    xtree_targets,
 )
+from xplan.predictor import ForestParams, GateError
 from xplan.where_cluster import ClusterConfig, ClusterSummary, cluster
-from tests.conftest import planted_defect_data, tree_of, with_meta
+from tests import oracle
+from tests.conftest import drawn_split, planted_defect_data, tree_of, with_meta
 
 
 def two_cluster_fixture():
@@ -62,15 +65,16 @@ def two_cluster_fixture():
 
 
 def centroid_inputs(clusters, z, ds):
-    """Encoded centroids of the clusters and the row's distance to each."""
+    """The clusters' centroid distances to each other, as lists, and the
+    row's distance to each centroid."""
     dcfg = DistanceConfig.from_dataset(ds)
     centroids = encode([c.centroid for c in clusters], dcfg)
-    return centroids, distance(encode([z], dcfg), centroids)[0]
+    return distance(centroids, centroids).tolist(), distance(encode([z], dcfg), centroids)[0]
 
 
 def cd(clusters, z, ds):
-    centroids, to_z = centroid_inputs(clusters, z, ds)
-    return plan_cd(clusters, cd_targets(clusters, centroids), to_z, ds)
+    between, to_z = centroid_inputs(clusters, z, ds)
+    return plan_cd(clusters, cd_targets(clusters, between), to_z, ds)
 
 
 def cdfs(clusters, ranking, z, ds):
@@ -78,8 +82,8 @@ def cdfs(clusters, ranking, z, ds):
 
 
 def bic(clusters, ranking, z, ds):
-    centroids, to_z = centroid_inputs(clusters, z, ds)
-    return plan_bic(bic_gradients(clusters, centroids), ranking, z, to_z, ds)
+    between, to_z = centroid_inputs(clusters, z, ds)
+    return plan_bic(bic_gradients(clusters, between), ranking, z, to_z, ds)
 
 
 class TestPlanCd:
@@ -183,13 +187,18 @@ def xtree_fixture():
     return Dataset(feats, rows, MINIMIZE_RATE)
 
 
+def xtree(tree, z, cfg, rng, ds):
+    """xtree's plan for row z: its leaf's target, drawn from rng."""
+    return plan_xtree(xtree_targets(tree, cfg.gamma)[locate_leaf(tree, z, ds).leaf_pos], rng, ds)
+
+
 class TestPlanXtree:
     def test_bad_row_gets_range_sample_toward_good_branch(self):
         ds = xtree_fixture()
         tree = tree_of(ds)
         cfg = PlannerConfig(gamma=0.5)
         z = [550.0, 45.0, True]
-        plan = plan_xtree(tree, z, cfg, random.Random(1), ds)
+        plan = xtree(tree, z, cfg, random.Random(1), ds)
         assert not plan.empty
         by_name = {d.feature: d for d in plan.deltas}
         assert "loc" in by_name
@@ -205,29 +214,61 @@ class TestPlanXtree:
         good = [50.0, 5.0, False]
         leaf = locate_leaf(tree, good, ds)
         better = [l for l in tree.leaves() if l.score < cfg.gamma * leaf.score]
-        plan = plan_xtree(tree, good, cfg, random.Random(1), ds)
+        plan = xtree(tree, good, cfg, random.Random(1), ds)
         assert plan.empty == (not better)
 
     def test_no_qualifying_sibling_anywhere_is_empty(self):
         ds = xtree_fixture()
         tree = tree_of(ds)
-        plan = plan_xtree(tree, [550.0, 45.0, True], PlannerConfig(gamma=1e-9),
-                          random.Random(1), ds)
+        plan = xtree(tree, [550.0, 45.0, True], PlannerConfig(gamma=1e-9), random.Random(1), ds)
         assert plan.empty
 
     def test_draw_is_seeded_and_reproducible(self):
         ds = xtree_fixture()
         tree = tree_of(ds)
         cfg = PlannerConfig()
-        p1 = plan_xtree(tree, [550.0, 45.0, True], cfg, random.Random(9), ds)
-        p2 = plan_xtree(tree, [550.0, 45.0, True], cfg, random.Random(9), ds)
+        p1 = xtree(tree, [550.0, 45.0, True], cfg, random.Random(9), ds)
+        p2 = xtree(tree, [550.0, 45.0, True], cfg, random.Random(9), ds)
         assert [d.value for d in p1.deltas] == [d.value for d in p2.deltas]
 
     def test_deltas_only_from_branch_paths(self):
         ds = xtree_fixture()
         tree = tree_of(ds)
-        plan = plan_xtree(tree, [550.0, 45.0, True], PlannerConfig(), random.Random(1), ds)
+        plan = xtree(tree, [550.0, 45.0, True], PlannerConfig(), random.Random(1), ds)
         assert set(plan.features()) <= {"loc", "wmc"}
+
+
+class TestXtreeAgainstReference:
+    """A run searches xtree's targets once and each seed only draws their
+    samples; ``oracle.plan_xtree`` searches every row's target again for
+    every seed. Their plans are equal for every test row and seed."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(["planted", "config"]), st.integers(0, 2**32 - 1), st.integers(40, 160),
+           st.sampled_from([0.1, 0.5, 0.9, 1.2]), st.lists(st.integers(0, 99), min_size=1, max_size=3))
+    def test_plans_equal_the_reference(self, source, data_seed, n_rows, gamma, seeds):
+        tr, te, rules = drawn_split(source, data_seed, n_rows)
+        cfg = PlannerConfig(gamma=gamma)
+        run = RunArtifacts(tr, te, cfg, rules, ForestParams(n_trees=15))
+        tree = tree_of(tr)
+        gated = 0
+        for seed in seeds:
+            try:
+                planner = run.for_seed(seed, ["xtree"]).planners["xtree"]
+            except GateError:
+                continue
+            gated += 1
+            for i, z in enumerate(te.rows):
+                want = oracle.plan_xtree(tree, z, cfg, random.Random(f"{seed}:{i}"), tr)
+                assert planner(i).to_json() == want.to_json(), (seed, i)
+        if not gated:
+            reject()
+
+    def test_plans_share_no_provenance(self):
+        tr, te = planted_defect_data(200, 60, 0)
+        planners = RunArtifacts(tr, te, PlannerConfig())._planners(1, ["xtree"])
+        plans = [planners["xtree"](i) for i in range(len(te.rows))] + [planners["xtree"](0)]
+        assert len({id(p.provenance) for p in plans}) == len(plans)
 
 
 class TestApplyPlan:

@@ -1,7 +1,7 @@
 """The repository's own rules about ``src/``: the benchmark's tracer can
 still find every function it wraps, the traced benchmark still reports
-every per-layer metric, and no module imports another module's private
-names."""
+every per-layer metric, no module imports another module's private names,
+and no function takes a parameter it never reads."""
 
 import ast
 import json
@@ -52,3 +52,21 @@ def test_no_private_names_imported_across_modules():
                 imported += [f"{path.name}: {node.module}.{alias.name}"
                              for alias in node.names if alias.name.startswith("_")]
     assert imported == []
+
+
+def test_no_unused_parameters_in_src():
+    # a parameter that is never read is dead; self, cls and names that start
+    # with "_" (arguments a caller's protocol imposes) are exempt
+    unused = []
+    for path in sorted((ROOT / "src" / "xplan").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            args = node.args
+            params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+            params += [a.arg for a in (args.vararg, args.kwarg) if a is not None]
+            read = {n.id for stmt in node.body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            unused += [f"{path.name}:{node.lineno} {node.name}({p})" for p in params
+                       if p not in read and p not in ("self", "cls") and not p.startswith("_")]
+    assert unused == []
