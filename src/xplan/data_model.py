@@ -122,10 +122,14 @@ def dependent_score(dep_values, objective):
 
 
 def median(values):
-    """``statistics.median``: the middle value, or the mean of the two middle values."""
+    """``statistics.median``: the middle value, or the mean of the two middle
+    values, taken as halves when their sum overflows."""
     vals = sorted(values)
     i = len(vals) // 2
-    return vals[i] if len(vals) % 2 else (vals[i - 1] + vals[i]) / 2
+    if len(vals) % 2:
+        return vals[i]
+    mean = (vals[i - 1] + vals[i]) / 2  # a float sum overflows to inf without a warning
+    return vals[i - 1] / 2 + vals[i] / 2 if math.isinf(mean) else mean
 
 
 def load_schema(path):

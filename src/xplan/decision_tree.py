@@ -20,7 +20,7 @@ import numpy as np
 from xplan.data_model import MINIMIZE_RATE, NUMERIC, dependent_score
 from xplan.discretize import Bin, mdl_discretize
 from xplan.num_core import distance_matrix, entropy
-from xplan.where_cluster import ClusterConfig, centroid_of
+from xplan.where_cluster import centroid_of, resolve_alpha
 
 MIN_GAIN = 1e-6  # absolute variability reduction needed to keep a split
 
@@ -57,7 +57,7 @@ def build_tree(train, encoded, y, alpha=None):
     n = len(y)
     if n == 0:
         raise ValueError("empty training data")
-    alpha = ClusterConfig(alpha).resolve_alpha(n)
+    alpha = resolve_alpha(alpha, n)
     classify = train.objective == MINIMIZE_RATE
     # the discretizer's classes: the class itself, or above the median
     labels = y if classify else y > dependent_score(y.tolist(), train.objective)

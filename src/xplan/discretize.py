@@ -43,9 +43,6 @@ class Bin:
     def contains(self, value):
         return self.lo < value <= self.hi
 
-    def __str__(self):
-        return f"{self.feature} in ({self.lo:g}, {self.hi:g}]"
-
 
 @dataclass
 class FeatureRanking:

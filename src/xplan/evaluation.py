@@ -10,9 +10,10 @@ the training-side planner artifacts, which every method of that seed
 shares. An experiment finds the rows its plans moved in the pass that
 applies and culls the plans, and encodes, re-predicts and measures only
 those; every other row keeps the seed's prediction and its nearest
-distance, which no seed changes. Artifacts that no seed changes are built
-once per run: xtree's tree, each test row's leaf and each leaf's target
-among them, so a seed's xtree plans only draw their samples.
+distance, which no seed changes. Each artifact is built once at the level
+it depends on: xtree's tree, each test row's leaf and each leaf's target,
+its ranges clipped, once per run, so a seed's xtree plans only draw their
+samples; cd's move once per cluster per seed, shared by the cluster's rows.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from xplan.planners import (
     Plan,
     apply_plan,
     bic_gradients,
-    cd_targets,
+    cd_moves,
     check_constraints,
     plan_bic,
     plan_cd,
@@ -55,7 +56,7 @@ from xplan.predictor import (
     train_forest,
 )
 from xplan.scott_knott import MethodSamples
-from xplan.where_cluster import ClusterConfig, cluster
+from xplan.where_cluster import cluster
 
 ALL_METHODS = ("identity", "cd", "cdfs", "bic", "xtree")
 # Distances per block of nearest_distances, which sizes its two buffers. On a
@@ -135,7 +136,7 @@ class RunArtifacts:
         """xtree's target of each test row's leaf, in the tree grown on the forest's targets."""
         _, targets, *_ = self.forest_input
         tree = build_tree(self.train, self.encoded_train, targets, self.cfg.alpha)
-        by_leaf = xtree_targets(tree, self.cfg.gamma)
+        by_leaf = xtree_targets(tree, self.cfg.gamma, self.train)
         return [by_leaf[locate_leaf(tree, z, self.test).leaf_pos] for z in self.test.rows]
 
     @cached_property
@@ -162,22 +163,23 @@ class RunArtifacts:
         """Per-row plan functions ``test row index -> Plan``. xtree draws its
         samples from the row's own ``random.Random(f"{seed}:{i}")``. cd, cdfs
         and bic share one clustering of this seed and the test rows' centroid
-        distances, cdfs and bic one ranking; cdfs filters cd's plans."""
+        distances, cdfs and bic one ranking; cd's plans share each cluster's
+        move and cdfs filters them."""
         train, test, cfg = self.train, self.test, self.cfg
         wanted = set(methods)
-        planners = {"identity": lambda i: Plan([], "identity")}
+        planners = {"identity": lambda _i: Plan([], "identity")}
         if "xtree" in wanted:
             xtree_rows = self.xtree_row_targets
-            planners["xtree"] = lambda i: plan_xtree(xtree_rows[i], random.Random(f"{seed}:{i}"), train)
+            planners["xtree"] = lambda i: plan_xtree(xtree_rows[i], random.Random(f"{seed}:{i}"))
         if wanted & {"cd", "cdfs", "bic"}:
             rng = random.Random(f"{seed}:artifacts")
-            clusters = cluster(train, ClusterConfig(cfg.alpha), rng, self.encoded_train)
+            clusters = cluster(train, cfg.alpha, rng, self.encoded_train)
             centroids = encode([c.centroid for c in clusters], self.dcfg)
             to_centroids = distance(self.encoded_test, centroids)
             between = distance(centroids, centroids).tolist()
         if wanted & {"cd", "cdfs"}:
-            targets = cd_targets(clusters, between)
-            cd_plans = [plan_cd(clusters, targets, d, train) for d in to_centroids]
+            moves = cd_moves(clusters, between, train)
+            cd_plans = [plan_cd(clusters, moves, d) for d in to_centroids]
             planners["cd"] = lambda i: cd_plans[i]
         if wanted & {"cdfs", "bic"}:
             ids = {i: c.index for c in clusters for i in c.members}

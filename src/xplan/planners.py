@@ -3,13 +3,15 @@
 Every planner takes training-time artifacts plus one test row and returns
 a Plan: a set of per-feature deltas (numeric shift, discrete set-to, or a
 range sample resolved to one seeded draw). An empty plan means "no change
-recommended".
+recommended". cd's move is built once per cluster and its frozen deltas are
+shared by the cluster's rows; xtree's clipped ranges once per leaf, so a
+row's plan only finds its cluster or draws its samples.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from xplan.data_model import INDEPENDENT, NUMERIC, DataError, read_lines
 from xplan.decision_tree import branch_path, siblings_at_level
@@ -21,11 +23,11 @@ SET = "set"        # discrete: replace the symbol
 SAMPLE = "sample"  # numeric: value drawn from (lo, hi] at plan time
 
 
-@dataclass
+@dataclass(frozen=True)
 class Delta:
     feature: str
     kind: str
-    value: object = None      # shift amount, symbol, or the drawn sample
+    value: object = None      # shift amount, symbol, or the drawn sample (None until drawn)
     lo: float | None = None   # sample range, for provenance
     hi: float | None = None
 
@@ -39,7 +41,7 @@ class Delta:
 
 @dataclass
 class Plan:
-    deltas: list
+    deltas: list | tuple  # the rows of a cd cluster share its tuple
     method: str = ""
     provenance: dict = field(default_factory=dict)
 
@@ -80,37 +82,39 @@ def _centroid_deltas(src, dst, ds):
 # and their centroids' distances to each other or a row's distances to them
 # in that order.
 
-def cd_targets(clusters, d):
-    """Method1's target of each cluster: the closest strictly better
-    cluster (lowest index on ties), or None. d holds the centroids'
-    distances to each other, as lists."""
-    return [
-        min((o for o in clusters if o.score < c.score),
-            key=lambda o: (d[c.index][o.index], o.index), default=None)
-        for c in clusters
-    ]
+def cd_moves(clusters, d, ds):
+    """Method1's move of each cluster: None when no cluster scores strictly
+    better, else the closest such cluster (lowest index on ties) with the
+    deltas from this centroid to its centroid, as a tuple. d holds the
+    centroids' distances to each other, as lists."""
+    moves = []
+    for c in clusters:
+        target = min((o for o in clusters if o.score < c.score),
+                     key=lambda o: (d[c.index][o.index], o.index), default=None)
+        moves.append(None if target is None else
+                     (target, tuple(_centroid_deltas(c.centroid, target.centroid, ds))))
+    return moves
 
 
-def plan_cd(clusters, targets, to_centroids, ds):
-    """Method1: delta between the nearest centroid and its target from
-    ``cd_targets``."""
+def plan_cd(clusters, moves, to_centroids):
+    """Method1: the move (from ``cd_moves``) of the row's nearest cluster."""
     here = nearest_cluster(to_centroids, clusters)
-    target = targets[here.index]
-    if target is None:
+    move = moves[here.index]
+    if move is None:
         return Plan([], "cd", {"source": here.index})
-    deltas = _centroid_deltas(here.centroid, target.centroid, ds)
+    target, deltas = move
     return Plan(deltas, "cd", {"source": here.index, "target": target.index})
 
 
 def plan_cdfs(base, ranking):
     """Method2: a Method1 plan restricted to the most informative features."""
     keep = set(ranking.selected)
-    return Plan([d for d in base.deltas if d.feature in keep], "cdfs", base.provenance)
+    return Plan([d for d in base.deltas if d.feature in keep], "cdfs", dict(base.provenance))
 
 
 def bic_gradients(clusters, d):
     """Method3's inter-centroid gradients: each cluster paired with its
-    nearest neighbour cluster (by d, as ``cd_targets`` takes it) as
+    nearest neighbour cluster (by d, as ``cd_moves`` takes it) as
     (bottom, top), worse end first; pairs of equal score are skipped."""
     gradients = []
     for c in clusters:
@@ -138,12 +142,15 @@ def plan_bic(gradients, ranking, z, to_centroids, ds):
     return Plan(deltas, "bic", {"bottom": bottom.index, "top": top.index})
 
 
-def xtree_targets(tree, gamma):
+def xtree_targets(tree, gamma, ds):
     """Method4's search, which no seed changes: for each leaf, in
     ``leaf_pos`` order, climb until a much-better sibling leaf exists and
     keep the branch conditions of its path that the leaf's path lacks (the
-    deepest per feature) with the search's provenance, as
-    ``(picked, provenance)``; None when the climb passes the root."""
+    deepest per feature) as deltas, with the search's provenance, as
+    ``(deltas, provenance)``; None when the climb passes the root. A
+    symbol condition is a SET; a range is a SAMPLE clipped to ds's
+    training bounds, whose value ``plan_xtree`` draws (lo when the clipped
+    range is empty)."""
     targets = []
     for current in tree.leaves():
         lvl = 0
@@ -161,24 +168,26 @@ def xtree_targets(tree, gamma):
         # the deepest condition per feature wins
         picked = {f: c for f, c in branch_path(desired) if (f, _cond_key(c)) not in cur_set}
         provenance = {"lvl": lvl, "current_score": current.score, "desired_score": desired.score}
-        targets.append((list(picked.items()), provenance))
+        targets.append(([_cond_delta(f, c, ds) for f, c in picked.items()], provenance))
     return targets
 
 
-def plan_xtree(target, rng, ds):
+def plan_xtree(target, rng):
     """Method4: the row's leaf's target from ``xtree_targets`` as a plan,
-    each range condition resolved to one draw from rng."""
+    each non-empty range drawn from rng, in the target's order."""
     if target is None:
         return Plan([], "xtree", {"exhausted": True})
-    picked, provenance = target
-    return Plan([_cond_delta(fname, cond, ds, rng) for fname, cond in picked], "xtree", dict(provenance))
+    deltas, provenance = target
+    drawn = [replace(d, value=rng.uniform(d.lo, d.hi)) if d.kind == SAMPLE and d.lo < d.hi else d
+             for d in deltas]
+    return Plan(drawn, "xtree", dict(provenance))
 
 
 def _cond_key(cond):
     return (cond.lo, cond.hi) if isinstance(cond, Bin) else cond
 
 
-def _cond_delta(fname, cond, ds, rng):
+def _cond_delta(fname, cond, ds):
     if not isinstance(cond, Bin):
         return Delta(fname, SET, cond)
     lo, hi = cond.lo, cond.hi
@@ -187,8 +196,7 @@ def _cond_delta(fname, cond, ds, rng):
         lo = min(blo, hi)
     if hi == math.inf:
         hi = max(bhi, lo)
-    value = lo if hi <= lo else rng.uniform(lo, hi)
-    return Delta(fname, SAMPLE, value, lo=lo, hi=hi)
+    return Delta(fname, SAMPLE, None if lo < hi else lo, lo=lo, hi=hi)
 
 
 def apply_plan(z, plan, ds):

@@ -43,6 +43,7 @@ from xplan.data_model import (
     NUMERIC,
     DataError,
     SplitSpec,
+    median,
     split,
 )
 from xplan.num_core import DistanceConfig, distance, encode, key_dtype
@@ -562,15 +563,6 @@ def _filled(table, fill, unseen):
     return np.where(np.isnan(X) | (X >= unseen), fill, X)
 
 
-def _median(values):
-    """``np.median`` of a non-empty array: the middle value, or the mean of
-    the two middle values, taken as halves when their sum overflows."""
-    ordered = np.sort(values)
-    a, b = float(ordered[(len(ordered) - 1) // 2]), float(ordered[len(ordered) // 2])
-    mean = (a + b) / 2  # a Python float sum overflows to inf without a warning
-    return a / 2 + b / 2 if math.isinf(mean) else mean
-
-
 def forest_input(train, encoded):
     """What every fit on ``train`` reads, from its rows ``encoded`` with
     ``DistanceConfig.from_dataset(train)``: the mode its objective sets,
@@ -586,7 +578,7 @@ def forest_input(train, encoded):
     if mode == REGRESS and any(isinstance(v, bool) for v in dep):
         raise ValueError("regression needs a numeric dependent")
     present = ~np.isnan(encoded.cols)
-    fill = np.array([_median(c[p]) if p.any() else 0.0 for c, p in zip(encoded.cols, present)])
+    fill = np.array([median(c[p].tolist()) if p.any() else 0.0 for c, p in zip(encoded.cols, present)])
     unseen = np.array([(c[p].max() + 1 if p.any() else 0.0) if kind == DISCRETE else math.nan
                        for c, p, kind in zip(encoded.cols, present, encoded.cfg.kinds)])
     y = np.array([float(v) for v in dep])

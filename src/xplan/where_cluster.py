@@ -26,14 +26,10 @@ class PivotPair:
     to_y: np.ndarray  # distance of every row to y
 
 
-@dataclass
-class ClusterConfig:
-    alpha: int | None = None  # None -> ceil(sqrt(N)), floor 2
-
-    def resolve_alpha(self, n):
-        """The split size on n rows: the one alpha rule of WHERE and xtree's tree."""
-        a = self.alpha if self.alpha is not None else math.ceil(math.sqrt(n))
-        return max(2, a)
+def resolve_alpha(alpha, n):
+    """The split size on n rows, None meaning ceil(sqrt(n)), at least 2:
+    the one alpha rule of WHERE and xtree's tree."""
+    return max(2, alpha if alpha is not None else math.ceil(math.sqrt(n)))
 
 
 @dataclass
@@ -90,10 +86,10 @@ def _summarize(index, member_ids, ds, rng):
     return ClusterSummary(index, list(member_ids), centroid_of(rows, ds.features), best, score)
 
 
-def cluster(train, cfg, rng, rows):
-    """Recursively bisect the training rows, encoded as ``rows``; returns
-    leaf summaries."""
-    alpha = cfg.resolve_alpha(len(train.rows))
+def cluster(train, alpha, rng, rows):
+    """Recursively bisect the training rows, encoded as ``rows``, into parts
+    of at most ``resolve_alpha`` rows; returns leaf summaries."""
+    alpha = resolve_alpha(alpha, len(train.rows))
     leaves = []
 
     def recurse(ids):

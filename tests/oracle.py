@@ -5,8 +5,9 @@ encoder that ``num_core.encode`` replaced, the quadratic MDL cut search
 that the scan-and-recount search must match, the recursive CART grower and
 predictor that the lockstep forest replaced, the row-list xtree tree
 and feature ranking that now read the encoded table, the xtree planner
-that searched each row's target again for every seed, and the experiment
-that encoded every changed row to find the moved ones."""
+that searched each row's target again for every seed, the cd planner that
+built each row's deltas again, and the experiment that encoded every
+changed row to find the moved ones."""
 
 import math
 from collections import Counter
@@ -18,9 +19,9 @@ from xplan.decision_tree import MIN_GAIN, TreeNode, branch_path, locate_leaf, si
 from xplan.discretize import Bin, _mdl_accepts
 from xplan.evaluation import ExperimentResult, nearest_distances
 from xplan.num_core import DistanceConfig, distance_matrix, encode, entropy
-from xplan.planners import SAMPLE, SET, Delta, Plan, apply_plan, check_constraints
+from xplan.planners import SAMPLE, SET, SHIFT, Delta, Plan, apply_plan, check_constraints
 from xplan.predictor import CLASSIFY
-from xplan.where_cluster import ClusterConfig, centroid_of
+from xplan.where_cluster import centroid_of, nearest_cluster, resolve_alpha
 
 
 def normalize_bounds(value, lo, hi):
@@ -383,7 +384,7 @@ def build_tree(train, alpha=None):
     n = len(train.rows)
     if n == 0:
         raise ValueError("empty training data")
-    alpha = ClusterConfig(alpha).resolve_alpha(n)
+    alpha = resolve_alpha(alpha, n)
     labels = _dep_labels(train)
 
     def grow(ids, depth, parent):
@@ -424,6 +425,25 @@ def build_tree(train, alpha=None):
     centroids = [leaf.centroid for leaf in leaves]
     root.leaf_distances = distance_matrix(centroids, centroids, DistanceConfig.from_dataset(train)).tolist()
     return root
+
+
+def plan_cd(clusters, between, to_centroids, ds):
+    """cd's plan for one row as it was built for each row of each seed: the
+    nearest cluster's closest strictly better cluster (lowest index on
+    ties), by the centroids' distances ``between``, and the deltas from the
+    one centroid to the other."""
+    here = nearest_cluster(to_centroids, clusters)
+    better = [o for o in clusters if o.score < here.score]
+    if not better:
+        return Plan([], "cd", {"source": here.index})
+    target = min(better, key=lambda o: (between[here.index][o.index], o.index))
+    deltas = []
+    for i, f in enumerate(ds.features):
+        a, b = here.centroid[i], target.centroid[i]
+        if f.role != INDEPENDENT or a is None or b is None or a == b:
+            continue
+        deltas.append(Delta(f.name, SHIFT, b - a) if f.kind == NUMERIC else Delta(f.name, SET, b))
+    return Plan(deltas, "cd", {"source": here.index, "target": target.index})
 
 
 def plan_xtree(tree, z, cfg, rng, ds):

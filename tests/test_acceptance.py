@@ -27,7 +27,7 @@ from xplan.predictor import (
     tune_de,
 )
 from xplan.scott_knott import MethodSamples, a12, scott_knott_rank
-from xplan.where_cluster import ClusterConfig, cluster, project
+from xplan.where_cluster import cluster, project
 from tests.conftest import encoded, fit_forest, planted_defect_data, two_blob_data
 
 REPEATS = 40
@@ -141,7 +141,7 @@ class TestProjectionIdentities:
         fixtures = [two_blob_data(), planted_defect_data()[0],
                     planted_defect_data(n_train=37)[0]]
         for ds in fixtures:
-            leaves = cluster(ds, ClusterConfig(), random.Random(0), encoded(ds))
+            leaves = cluster(ds, None, random.Random(0), encoded(ds))
             seen = sorted(i for leaf in leaves for i in leaf.members)
             assert seen == list(range(len(ds.rows)))
 

@@ -215,3 +215,9 @@ def test_dependent_score_rate_and_median():
     assert dependent_score([True, False, False, True], MINIMIZE_RATE) == 0.5
     assert dependent_score([3.0, 1.0, 2.0], MINIMIZE_VALUE) == 2.0
     assert dependent_score([4.0, 1.0, 2.0, 3.0], MINIMIZE_VALUE) == 2.5
+
+
+def test_dependent_score_median_whose_middle_sum_overflows():
+    # 1e308 + 1.7e308 overflows; the median is the sum of their halves
+    assert dependent_score([1.7e308, 1e308, -1.0, 1.8e308], MINIMIZE_VALUE) == 1e308 / 2 + 1.7e308 / 2
+    assert dependent_score([-1.7e308, -1e308], MINIMIZE_VALUE) == -1e308 / 2 - 1.7e308 / 2

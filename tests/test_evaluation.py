@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, reject, settings, strategies as st
 
-from xplan import evaluation, predictor
+from xplan import evaluation, planners, predictor
 from xplan.data_model import MINIMIZE_RATE, Dataset, FeatureSpec, SplitSpec, split
 from xplan.evaluation import (
     ALL_METHODS,
@@ -310,6 +310,14 @@ class TestRunRepeats:
             return plan_xtree(*args)
 
         monkeypatch.setattr(evaluation, "plan_xtree", counted_plan_xtree)
+        conditions = [0]  # xtree's picked conditions turned into deltas
+        cond_delta = planners._cond_delta
+
+        def counted_cond_delta(*args):
+            conditions[0] += 1
+            return cond_delta(*args)
+
+        monkeypatch.setattr(planners, "_cond_delta", counted_cond_delta)
         tr, te = halves
         results = run_repeats(tr, te, ALL_METHODS, PlannerConfig(), n=3, forest_params=PARAMS)
         assert {m: len(rs) for m, rs in results.items()} == {m: 3 for m in ALL_METHODS}
@@ -331,15 +339,28 @@ class TestRunRepeats:
         assert during == {exp: [n] for exp, n in moved.items()}
         assert len(during) == 15 and {during["identity", s][0] for s in (1, 2, 3)} == {0}
         assert all(during[m, s][0] for m in ("cd", "cdfs", "bic", "xtree") for s in (1, 2, 3))
+        # each picked condition's delta, its range clipped, once per run however many seeds
+        per_run, conditions[0] = conditions[0], 0
+        run_repeats(tr, te, ["xtree"], PlannerConfig(), n=1, forest_params=PARAMS)
+        assert conditions[0] == per_run > 0
 
     def test_cd_plans_once_per_row_and_rows_encoded_once(self, halves, monkeypatch):
         tr, te = halves
-        calls = {"plan_cd": 0, "encode": []}
+        calls = {"plan_cd": 0, "encode": [], "clusters": [], "centroid_deltas": 0}
         plan_cd, encode_rows = evaluation.plan_cd, evaluation.encode
+        cluster, centroid_deltas = evaluation.cluster, planners._centroid_deltas
 
         def counted_plan_cd(*args):
             calls["plan_cd"] += 1
             return plan_cd(*args)
+
+        def counted_cluster(*args):
+            calls["clusters"].append(cluster(*args))
+            return calls["clusters"][-1]
+
+        def counted_centroid_deltas(*args):
+            calls["centroid_deltas"] += 1
+            return centroid_deltas(*args)
 
         def counted_encode(rows, cfg):
             calls["encode"].append(rows)
@@ -347,8 +368,14 @@ class TestRunRepeats:
 
         monkeypatch.setattr(evaluation, "plan_cd", counted_plan_cd)
         monkeypatch.setattr(evaluation, "encode", counted_encode)
+        monkeypatch.setattr(evaluation, "cluster", counted_cluster)
+        monkeypatch.setattr(planners, "_centroid_deltas", counted_centroid_deltas)
         run_repeats(tr, te, ["cd", "cdfs"], PlannerConfig(), n=2, forest_params=PARAMS)
         assert calls["plan_cd"] == 2 * len(te.rows)
+        # cd's deltas once per seed for each cluster that has a better one
+        assert len(calls["clusters"]) == 2
+        moving = sum(any(o.score < c.score for o in cs) for cs in calls["clusters"] for c in cs)
+        assert calls["centroid_deltas"] == moving > 0
         assert sum(rows is tr.rows for rows in calls["encode"]) == 1
         assert sum(rows is te.rows for rows in calls["encode"]) == 1
 

@@ -1,4 +1,5 @@
 import random
+from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import given, reject, settings, strategies as st
@@ -13,7 +14,7 @@ from xplan.data_model import (
     FeatureSpec,
 )
 from xplan.decision_tree import locate_leaf
-from xplan.discretize import FeatureRanking
+from xplan.discretize import FeatureRanking, rank_features
 from xplan.evaluation import ALL_METHODS, RunArtifacts
 from xplan.num_core import DistanceConfig, distance, encode
 from xplan.planners import (
@@ -26,7 +27,7 @@ from xplan.planners import (
     PlannerConfig,
     apply_plan,
     bic_gradients,
-    cd_targets,
+    cd_moves,
     check_constraints,
     load_feature_model,
     plan_bic,
@@ -36,7 +37,7 @@ from xplan.planners import (
     xtree_targets,
 )
 from xplan.predictor import ForestParams, GateError
-from xplan.where_cluster import ClusterConfig, ClusterSummary, cluster
+from xplan.where_cluster import ClusterSummary, cluster
 from tests import oracle
 from tests.conftest import drawn_split, planted_defect_data, tree_of, with_meta
 
@@ -74,7 +75,7 @@ def centroid_inputs(clusters, z, ds):
 
 def cd(clusters, z, ds):
     between, to_z = centroid_inputs(clusters, z, ds)
-    return plan_cd(clusters, cd_targets(clusters, between), to_z, ds)
+    return plan_cd(clusters, cd_moves(clusters, between, ds), to_z)
 
 
 def cdfs(clusters, ranking, z, ds):
@@ -189,7 +190,7 @@ def xtree_fixture():
 
 def xtree(tree, z, cfg, rng, ds):
     """xtree's plan for row z: its leaf's target, drawn from rng."""
-    return plan_xtree(xtree_targets(tree, cfg.gamma)[locate_leaf(tree, z, ds).leaf_pos], rng, ds)
+    return plan_xtree(xtree_targets(tree, cfg.gamma, ds)[locate_leaf(tree, z, ds).leaf_pos], rng)
 
 
 class TestPlanXtree:
@@ -265,10 +266,37 @@ class TestXtreeAgainstReference:
             reject()
 
     def test_plans_share_no_provenance(self):
+        # every method's plans, with row 0 asked for twice; cd hands out its
+        # seed's plan for a row, so that one may come back as the same plan
         tr, te = planted_defect_data(200, 60, 0)
-        planners = RunArtifacts(tr, te, PlannerConfig())._planners(1, ["xtree"])
-        plans = [planners["xtree"](i) for i in range(len(te.rows))] + [planners["xtree"](0)]
-        assert len({id(p.provenance) for p in plans}) == len(plans)
+        planners = RunArtifacts(tr, te, PlannerConfig())._planners(1, ALL_METHODS)
+        plans = [plan_row(i) for plan_row in planners.values() for i in [*range(len(te.rows)), 0]]
+        assert len({id(p.provenance) for p in plans}) == len({id(p) for p in plans})
+
+
+class TestCdAgainstReference:
+    """A seed builds cd's move once per cluster and a row's plan only finds
+    its nearest cluster; ``oracle.plan_cd`` builds every row's deltas again.
+    Their cd plans, and the cdfs plans filtered from them, are equal for
+    every test row and seed."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from(["planted", "config"]), st.integers(0, 2**32 - 1), st.integers(40, 160),
+           st.sampled_from([None, 3, 8]), st.lists(st.integers(0, 99), min_size=1, max_size=3))
+    def test_plans_equal_the_reference(self, source, data_seed, n_rows, alpha, seeds):
+        tr, te, rules = drawn_split(source, data_seed, n_rows)
+        run = RunArtifacts(tr, te, PlannerConfig(alpha=alpha), rules)
+        for seed in seeds:
+            planners = run._planners(seed, ["cd", "cdfs"])
+            clusters = cluster(tr, alpha, random.Random(f"{seed}:artifacts"), run.encoded_train)
+            centroids = encode([c.centroid for c in clusters], run.dcfg)
+            between = distance(centroids, centroids).tolist()
+            ids = {i: c.index for c in clusters for i in c.members}
+            ranking = rank_features(run.encoded_train, [ids[i] for i in range(len(tr.rows))], run.cfg.beta)
+            for i, to_z in enumerate(distance(run.encoded_test, centroids)):
+                want = oracle.plan_cd(clusters, between, to_z, tr)
+                assert planners["cd"](i).to_json() == want.to_json(), (seed, i)
+                assert planners["cdfs"](i).to_json() == plan_cdfs(want, ranking).to_json(), (seed, i)
 
 
 class TestApplyPlan:
@@ -308,6 +336,12 @@ class TestApplyPlan:
         z = [500.0, "a", True]
         with pytest.raises(DataError):
             apply_plan(z, Plan([Delta("bug", SET, False)]), self.ds)
+
+    def test_deltas_are_frozen(self):
+        # the rows of one cd cluster share its deltas
+        d = Delta("loc", SHIFT, -200.0)
+        with pytest.raises(FrozenInstanceError):
+            d.value = 0.0
 
 
 class TestAppliedPlanInvariants:

@@ -55,18 +55,21 @@ def test_no_private_names_imported_across_modules():
 
 
 def test_no_unused_parameters_in_src():
-    # a parameter that is never read is dead; self, cls and names that start
-    # with "_" (arguments a caller's protocol imposes) are exempt
+    # a parameter of a def or lambda that is never read is dead; self, cls
+    # and names that start with "_" (arguments a caller's protocol imposes)
+    # are exempt
     unused = []
     for path in sorted((ROOT / "src" / "xplan").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
                 continue
             args = node.args
             params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
             params += [a.arg for a in (args.vararg, args.kwarg) if a is not None]
-            read = {n.id for stmt in node.body for n in ast.walk(stmt)
+            body = node.body if isinstance(node.body, list) else [node.body]  # a lambda's is one expression
+            read = {n.id for stmt in body for n in ast.walk(stmt)
                     if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
-            unused += [f"{path.name}:{node.lineno} {node.name}({p})" for p in params
+            name = getattr(node, "name", "lambda")
+            unused += [f"{path.name}:{node.lineno} {name}({p})" for p in params
                        if p not in read and p not in ("self", "cls") and not p.startswith("_")]
     assert unused == []

@@ -6,12 +6,12 @@ import pytest
 from xplan.data_model import MINIMIZE_RATE, MINIMIZE_VALUE, Dataset, FeatureSpec
 from xplan.num_core import DistanceConfig, distance, encode
 from xplan.where_cluster import (
-    ClusterConfig,
     centroid_of,
     cluster,
     fastmap_pivots,
     nearest_cluster,
     project,
+    resolve_alpha,
 )
 from tests.conftest import encoded, planted_defect_data
 from tests.oracle import distance as scalar_distance
@@ -81,46 +81,45 @@ class TestProject:
 
 class TestCluster:
     def test_blobs_yield_pure_leaves(self, blobs):
-        leaves = cluster(blobs, ClusterConfig(alpha=10), random.Random(0), encoded(blobs))
+        leaves = cluster(blobs, 10, random.Random(0), encoded(blobs))
         for leaf in leaves:
             deps = {blobs.rows[i][-1] for i in leaf.members}
             assert len(deps) == 1  # members come from a single blob
 
     def test_output_is_a_partition(self, blobs):
-        leaves = cluster(blobs, ClusterConfig(alpha=10), random.Random(3), encoded(blobs))
+        leaves = cluster(blobs, 10, random.Random(3), encoded(blobs))
         seen = sorted(i for leaf in leaves for i in leaf.members)
         assert seen == list(range(len(blobs.rows)))
 
     def test_small_data_single_cluster(self):
         ds = line_ds([1.0, 2.0, 3.0, 4.0, 5.0])
-        leaves = cluster(ds, ClusterConfig(alpha=10), random.Random(0), encoded(ds))
+        leaves = cluster(ds, 10, random.Random(0), encoded(ds))
         assert len(leaves) == 1
         assert len(leaves[0].members) == 5
 
     def test_identical_rows_single_cluster(self):
         ds = line_ds([7.0] * 40)
-        leaves = cluster(ds, ClusterConfig(alpha=5), random.Random(0), encoded(ds))
+        leaves = cluster(ds, 5, random.Random(0), encoded(ds))
         assert len(leaves) == 1
 
     def test_leaf_sizes_bounded(self, blobs):
         alpha = 10
-        leaves = cluster(blobs, ClusterConfig(alpha=alpha), random.Random(0), encoded(blobs))
+        leaves = cluster(blobs, alpha, random.Random(0), encoded(blobs))
         assert all(1 <= len(l.members) <= alpha for l in leaves)
 
     def test_median_split_near_balance(self):
         ds = line_ds([float(i) for i in range(9)])
-        leaves = cluster(ds, ClusterConfig(alpha=4), random.Random(0), encoded(ds))
+        leaves = cluster(ds, 4, random.Random(0), encoded(ds))
         sizes = [len(l.members) for l in leaves]
         assert sum(sizes) == 9
         assert all(s <= 4 for s in sizes)
 
     def test_default_alpha_is_sqrt_n(self, blobs):
-        cfg = ClusterConfig()
-        assert cfg.resolve_alpha(len(blobs.rows)) == math.ceil(math.sqrt(len(blobs.rows)))
-        assert cfg.resolve_alpha(2) == 2  # floor at 2
+        assert resolve_alpha(None, len(blobs.rows)) == math.ceil(math.sqrt(len(blobs.rows)))
+        assert resolve_alpha(None, 2) == 2  # floor at 2
 
     def test_scores_and_best(self, blobs):
-        leaves = cluster(blobs, ClusterConfig(alpha=10), random.Random(0), encoded(blobs))
+        leaves = cluster(blobs, 10, random.Random(0), encoded(blobs))
         for leaf in leaves:
             deps = [blobs.rows[i][-1] for i in leaf.members]
             assert leaf.score == deps[0]  # blob leaves are pure
@@ -174,9 +173,8 @@ class TestClusterMatchesScalarWhere:
     def test_same_leaves(self, seed, blobs):
         for ds, alpha in ((blobs, 10), (mixed_ds(), 7), (line_ds([1.0, 2.0] * 20), 5),
                           (planted_defect_data(n_train=150)[0], None)):
-            cfg = ClusterConfig(alpha)
-            leaves = cluster(ds, cfg, random.Random(seed), encoded(ds))
-            want = scalar_where(ds, cfg.resolve_alpha(len(ds.rows)), random.Random(seed))
+            leaves = cluster(ds, alpha, random.Random(seed), encoded(ds))
+            want = scalar_where(ds, resolve_alpha(alpha, len(ds.rows)), random.Random(seed))
             assert [c.members for c in leaves] == want
 
 
@@ -205,7 +203,7 @@ class TestCentroid:
 
 class TestNearestCluster:
     def test_matches_brute_force_scan(self, blobs):
-        leaves = cluster(blobs, ClusterConfig(alpha=10), random.Random(0), encoded(blobs))
+        leaves = cluster(blobs, 10, random.Random(0), encoded(blobs))
         cfg = DistanceConfig.from_dataset(blobs)
         rng = random.Random(9)
         for _ in range(25):
@@ -215,14 +213,14 @@ class TestNearestCluster:
             assert got is want
 
     def test_exact_centroid_match(self, blobs):
-        leaves = cluster(blobs, ClusterConfig(alpha=10), random.Random(0), encoded(blobs))
+        leaves = cluster(blobs, 10, random.Random(0), encoded(blobs))
         cfg = DistanceConfig.from_dataset(blobs)
         assert nearest_cluster(to_centroids(leaves[2].centroid, leaves, cfg), leaves) is leaves[2]
 
     def test_tie_prefers_lower_index(self):
         ds = line_ds([0.0, 0.0, 10.0, 10.0])
         cfg = DistanceConfig.from_dataset(ds)
-        leaves = cluster(ds, ClusterConfig(alpha=2), random.Random(0), encoded(ds))
+        leaves = cluster(ds, 2, random.Random(0), encoded(ds))
         assert len(leaves) == 2
         got = nearest_cluster(to_centroids([5.0, 1.0], leaves, cfg), leaves)
         assert got.index == min(l.index for l in leaves)
