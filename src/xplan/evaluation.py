@@ -164,7 +164,7 @@ class RunArtifacts:
         samples from the row's own ``random.Random(f"{seed}:{i}")``. cd, cdfs
         and bic share one clustering of this seed and the test rows' centroid
         distances, cdfs and bic one ranking; cd's plans share each cluster's
-        move and cdfs filters them."""
+        deltas, each call copies a row's provenance, and cdfs filters them."""
         train, test, cfg = self.train, self.test, self.cfg
         wanted = set(methods)
         planners = {"identity": lambda _i: Plan([], "identity")}
@@ -180,7 +180,7 @@ class RunArtifacts:
         if wanted & {"cd", "cdfs"}:
             moves = cd_moves(clusters, between, train)
             cd_plans = [plan_cd(clusters, moves, d) for d in to_centroids]
-            planners["cd"] = lambda i: cd_plans[i]
+            planners["cd"] = lambda i: Plan(cd_plans[i].deltas, "cd", dict(cd_plans[i].provenance))
         if wanted & {"cdfs", "bic"}:
             ids = {i: c.index for c in clusters for i in c.members}
             ranking = rank_features(self.encoded_train, [ids[i] for i in range(len(train.rows))], cfg.beta)

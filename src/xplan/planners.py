@@ -149,8 +149,8 @@ def xtree_targets(tree, gamma, ds):
     deepest per feature) as deltas, with the search's provenance, as
     ``(deltas, provenance)``; None when the climb passes the root. A
     symbol condition is a SET; a range is a SAMPLE clipped to ds's
-    training bounds, whose value ``plan_xtree`` draws (lo when the clipped
-    range is empty)."""
+    training bounds, valued lo when the clipped range is empty and None
+    when ``plan_xtree`` is to draw it."""
     targets = []
     for current in tree.leaves():
         lvl = 0
@@ -174,11 +174,11 @@ def xtree_targets(tree, gamma, ds):
 
 def plan_xtree(target, rng):
     """Method4: the row's leaf's target from ``xtree_targets`` as a plan,
-    each non-empty range drawn from rng, in the target's order."""
+    each SAMPLE valued None drawn from rng, in the target's order."""
     if target is None:
         return Plan([], "xtree", {"exhausted": True})
     deltas, provenance = target
-    drawn = [replace(d, value=rng.uniform(d.lo, d.hi)) if d.kind == SAMPLE and d.lo < d.hi else d
+    drawn = [replace(d, value=rng.uniform(d.lo, d.hi)) if d.kind == SAMPLE and d.value is None else d
              for d in deltas]
     return Plan(drawn, "xtree", dict(provenance))
 

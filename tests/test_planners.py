@@ -266,12 +266,12 @@ class TestXtreeAgainstReference:
             reject()
 
     def test_plans_share_no_provenance(self):
-        # every method's plans, with row 0 asked for twice; cd hands out its
-        # seed's plan for a row, so that one may come back as the same plan
+        # every method's plans, with row 0 asked for twice: each call
+        # returns a plan with a provenance dict of its own
         tr, te = planted_defect_data(200, 60, 0)
         planners = RunArtifacts(tr, te, PlannerConfig())._planners(1, ALL_METHODS)
         plans = [plan_row(i) for plan_row in planners.values() for i in [*range(len(te.rows)), 0]]
-        assert len({id(p.provenance) for p in plans}) == len({id(p) for p in plans})
+        assert len({id(p.provenance) for p in plans}) == len(plans)
 
 
 class TestCdAgainstReference:
