@@ -7,6 +7,7 @@ Exit codes: 0 ok, 1 usage or data error, 2 predictor gate failure.
 from __future__ import annotations
 
 import json
+import math
 import random
 import sys
 from pathlib import Path
@@ -33,7 +34,8 @@ EXIT_GATE = 2
 
 
 def _load_config_file(ctx, _param, value):
-    """--config supplies defaults keyed by option name; explicit flags win."""
+    """--config supplies defaults keyed by option name; explicit flags win,
+    and a null leaves the option's own default."""
     if value is None:
         return None
     try:
@@ -48,7 +50,8 @@ def _load_config_file(ctx, _param, value):
     if unknown:
         click.echo(f"--config {value}: unknown keys: {', '.join(unknown)}", err=True)
         sys.exit(EXIT_DATA)
-    ctx.default_map = {**defaults, **(ctx.default_map or {})}
+    given = {k: v for k, v in defaults.items() if v is not None}
+    ctx.default_map = {**given, **(ctx.default_map or {})}
     return value
 
 
@@ -63,9 +66,10 @@ _shared = [
     click.option("--alpha", type=int, default=None,
                  help="Minimum split size for clustering and trees [default: ceil(sqrt(N))]."),
     click.option("--beta", type=float, default=0.33, show_default=True,
-                 help="Fraction of most-informative features kept by cdfs/bic."),
+                 help="Fraction of most-informative features kept by cdfs/bic, in (0, 1]."),
     click.option("--gamma", type=float, default=0.5, show_default=True,
-                 help="xtree sibling threshold: score < gamma * current score."),
+                 help="xtree sibling threshold: score < gamma * current score; finite and "
+                      "above 0, and above 1 a worse sibling qualifies."),
     click.option("--seed", type=int, default=1, show_default=True),
     click.option("--split-mode", type=click.Choice(["random-half", "by-version"]),
                  default="random-half", show_default=True),
@@ -95,6 +99,10 @@ def _prepare(data, schema, constraints, alpha, beta, gamma, seed, split_mode,
             raise DataError(f"--seed must be at least 0, not {seed}")
         if alpha is not None and alpha < 2:
             raise DataError(f"--alpha must be at least 2, not {alpha}")
+        if not 0 < beta <= 1:  # NaN fails too
+            raise DataError(f"--beta must be in (0, 1], not {beta}")
+        if not 0 < gamma < math.inf:
+            raise DataError(f"--gamma must be finite and above 0, not {gamma}")
         feats, class_mode = load_schema(schema)
         ds = load_csv(data, feats, class_mode)
         spec = SplitSpec(

@@ -10,10 +10,13 @@ the training-side planner artifacts, which every method of that seed
 shares. An experiment finds the rows its plans moved in the pass that
 applies and culls the plans, and encodes, re-predicts and measures only
 those; every other row keeps the seed's prediction and its nearest
-distance, which no seed changes. Each artifact is built once at the level
-it depends on: xtree's tree, each test row's leaf and each leaf's target,
-its ranges clipped, once per run, so a seed's xtree plans only draw their
-samples; cd's move once per cluster per seed, shared by the cluster's rows.
+distance, which no seed changes. Every distance, the trust distances
+included, comes from ``num_core``'s kernel, which builds each matrix in
+blocks. Each artifact is built once at the level it depends on: xtree's
+tree, each test row's leaf and each leaf's target, its ranges clipped, and
+whether that target draws, once per run, so a seed's xtree plans only draw
+their samples, from a generator built only for a row whose target draws;
+cd's move once per cluster per seed, shared by the cluster's rows.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ import numpy as np
 from xplan.data_model import DataError, read_lines
 from xplan.discretize import rank_features
 from xplan.decision_tree import build_tree, locate_leaf
-from xplan.num_core import DistanceConfig, distance, encode, squared_distance
+from xplan.num_core import DistanceConfig, distance, encode, nearest_distances
 from xplan.planners import (
     Plan,
     apply_plan,
@@ -42,6 +45,7 @@ from xplan.planners import (
     plan_cd,
     plan_cdfs,
     plan_xtree,
+    xtree_draws,
     xtree_targets,
 )
 from xplan.predictor import (
@@ -59,14 +63,6 @@ from xplan.scott_knott import MethodSamples
 from xplan.where_cluster import cluster
 
 ALL_METHODS = ("identity", "cd", "cdfs", "bic", "xtree")
-# Distances per block of nearest_distances, which sizes its two buffers. On a
-# 2-core VM a 1000x3000 planted matrix took 0.068, 0.048, 0.038, 0.028, 0.033
-# and 0.044 s at 2^13 ... 2^18 cells (median of 7). Larger blocks are faster,
-# but the buffers arrive while a seed's artifacts are resident: 2^15's 0.5 MB
-# found no free heap and mapped fresh pages, raising a planted-600 eval's peak
-# RSS by 0.4-0.5 MB, at 5 of 10 checkout path lengths tried; 2^14's 0.25 MB
-# at none.
-_BLOCK_CELLS = 1 << 14
 
 
 @dataclass
@@ -115,10 +111,10 @@ class RunArtifacts:
     """One train/test split with its planner settings, feature model and
     forest parameters, plus what every seed of a run shares: the encoded
     train and test rows, the forest's input and, built on first use,
-    xtree's target for each test row (its tree, each row's leaf and each
-    leaf's target are built once; ``build_tree`` draws no random numbers)
-    and each test row's distance to its nearest training row. Each seed's
-    feature ranking reads the encoded training rows too."""
+    xtree's target for each test row and whether it draws (its tree, each
+    row's leaf and each leaf's target are built once; ``build_tree`` draws
+    no random numbers) and each test row's distance to its nearest training
+    row. Each seed's feature ranking reads the encoded training rows too."""
 
     def __init__(self, train, test, cfg, fm=None, forest_params=None):
         self.train = train
@@ -133,10 +129,11 @@ class RunArtifacts:
 
     @cached_property
     def xtree_row_targets(self):
-        """xtree's target of each test row's leaf, in the tree grown on the forest's targets."""
+        """xtree's target of each test row's leaf, in the tree grown on the
+        forest's targets, with whether it draws, as ``(target, draws)``."""
         _, targets, *_ = self.forest_input
         tree = build_tree(self.train, self.encoded_train, targets, self.cfg.alpha)
-        by_leaf = xtree_targets(tree, self.cfg.gamma, self.train)
+        by_leaf = [(t, xtree_draws(t)) for t in xtree_targets(tree, self.cfg.gamma, self.train)]
         return [by_leaf[locate_leaf(tree, z, self.test).leaf_pos] for z in self.test.rows]
 
     @cached_property
@@ -161,16 +158,22 @@ class RunArtifacts:
 
     def _planners(self, seed, methods):
         """Per-row plan functions ``test row index -> Plan``. xtree draws its
-        samples from the row's own ``random.Random(f"{seed}:{i}")``. cd, cdfs
-        and bic share one clustering of this seed and the test rows' centroid
-        distances, cdfs and bic one ranking; cd's plans share each cluster's
-        deltas, each call copies a row's provenance, and cdfs filters them."""
+        samples from the row's own ``random.Random(f"{seed}:{i}")``, built
+        only when the row's target draws. cd, cdfs and bic share one
+        clustering of this seed and the test rows' centroid distances, cdfs
+        and bic one ranking; cd's plans share each cluster's deltas, each call
+        copies a row's provenance, and cdfs filters them."""
         train, test, cfg = self.train, self.test, self.cfg
         wanted = set(methods)
         planners = {"identity": lambda _i: Plan([], "identity")}
         if "xtree" in wanted:
             xtree_rows = self.xtree_row_targets
-            planners["xtree"] = lambda i: plan_xtree(xtree_rows[i], random.Random(f"{seed}:{i}"))
+
+            def xtree_plan(i):
+                target, draws = xtree_rows[i]
+                return plan_xtree(target, random.Random(f"{seed}:{i}") if draws else None)
+
+            planners["xtree"] = xtree_plan
         if wanted & {"cd", "cdfs", "bic"}:
             rng = random.Random(f"{seed}:artifacts")
             clusters = cluster(train, cfg.alpha, rng, self.encoded_train)
@@ -204,24 +207,6 @@ class SeedArtifacts:
     predicted: list  # per test row
     before: float
     planners: dict  # method -> test row index -> Plan
-
-
-def nearest_distances(train, rows):
-    """Distance from each encoded row to its nearest encoded training row: the
-    full matrix's minima, over blocks of at most ``_BLOCK_CELLS`` cells (or one
-    row). The block's sums and one feature's terms live in two buffers
-    allocated once per call and reused by every block and feature; the sums
-    are added in the same order as the allocating kernel's. Only the minima
-    are rooted: the root is monotone and correctly rounded, so the root of a
-    minimum is the minimum of the roots."""
-    nearest = np.empty(len(rows))
-    step = max(1, _BLOCK_CELLS // max(1, len(train)))
-    buffers = np.empty((2, min(step, len(rows)), len(train)))
-    for lo in range(0, len(rows), step):
-        block = rows.take(slice(lo, lo + step))
-        out, scratch = buffers[:, :len(block)]
-        nearest[lo:lo + step] = squared_distance(block, train, out, scratch).min(axis=1)
-    return np.sqrt(nearest, out=nearest)
 
 
 def trust_report(train, moved, rows, before):

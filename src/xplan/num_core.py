@@ -1,5 +1,5 @@
 """Shared numeric primitives: base-2 entropy, the row encoding, row
-distance and the dtype of integer sort keys.
+distance, nearest-row distance and the dtype of integer sort keys.
 
 ``encode`` is the one row encoding, which the forest, xtree's tree and
 the feature ranking also read: a float column per independent feature
@@ -8,12 +8,14 @@ Distance is a weighted Euclidean over these columns, with numerics
 normalized to [0,1] by the training bounds, discrete mismatch counting
 1, and missing values resolved pessimistically (a fully-missing pair
 contributes 1). Each encoded table normalizes its numerics once, into a
-cached ``unit`` array that ``distance`` reads and ``take`` slices. The
-one kernel, ``squared_distance``, adds the features' terms in schema
-order into a sums array, through one terms array that every feature
-reuses; a caller that measures block after block passes both in, so the
-kernel allocates nothing per feature and the sums stay those of the
-allocating call, bit for bit.
+cached ``unit`` array that the kernel reads and ``take`` slices. Every
+distance matrix is built by one block loop, in blocks of at most 2^14
+distances (``_BLOCK_CELLS``). It adds the features' terms in schema order,
+through one block-sized terms array that every block and feature reuses,
+so no matrix needs a temporary of its own size. ``squared_distance`` and
+``distance`` write each block's sums into their result, and
+``nearest_distances`` keeps only each block's row minima; no caller
+manages a buffer, and no block size changes a sum, bit for bit.
 """
 
 from __future__ import annotations
@@ -118,42 +120,62 @@ def encode(rows, cfg):
     return Encoded(cfg, cols)
 
 
-def squared_distance(a, b, out=None, scratch=None):
-    """All pairwise squared distances between two encoded tables, as a
-    (len(a), len(b)) array. Each cell is summed feature by feature in
-    schema order, exactly as a scalar loop over one pair would sum it: a
-    weight of 1 multiplies nothing, and a signed difference squares as its
-    absolute value does.
+# Distances per block of the kernel, which sizes its block buffers. On a
+# 2-core VM the nearest distances over a 1000x3000 planted matrix took 0.068,
+# 0.048, 0.038, 0.028, 0.033 and 0.044 s at 2^13 ... 2^18 cells (median of
+# 7). Larger blocks are faster, but the buffers arrive while a seed's
+# artifacts are resident: 2^15's 0.5 MB found no free heap and mapped fresh
+# pages, raising a planted-600 eval's peak RSS by 0.4-0.5 MB, at 5 of 10
+# checkout path lengths tried; 2^14's 0.25 MB at none.
+_BLOCK_CELLS = 1 << 14
 
-    ``out`` (the sums) and ``scratch`` (one feature's terms) are float
-    arrays of the result's shape; given, they are written in place and
-    reused for every feature, so a caller that measures block after block
-    allocates them once. ``out`` is returned. Either one left out is
-    allocated here; the sums are the same bit for bit."""
-    shape = (len(a), len(b))
-    out = np.empty(shape) if out is None else out
-    scratch = np.empty(shape) if scratch is None else scratch
-    out.fill(0.0)
-    for kind, w, ca, cb in zip(a.cfg.kinds, a.cfg.weights, a.unit, b.unit):
-        if kind == NUMERIC:
-            np.subtract(ca[:, None], cb[None, :], out=scratch)
-            miss_a, miss_b = np.isnan(ca), np.isnan(cb)
-            if miss_a.any() or miss_b.any():
-                # a one-sided gap takes the far end of [0,1] from the value
-                # that is present; a two-sided gap counts 1
-                np.copyto(scratch, np.maximum(ca, 1.0 - ca)[:, None], where=miss_b[None, :])
-                far_b = np.where(miss_b, 1.0, np.maximum(cb, 1.0 - cb))
-                np.copyto(scratch, far_b[None, :], where=miss_a[:, None])
-        else:
-            # a missing symbol differs in the worst case: NaN != every code and NaN
-            np.not_equal(ca[:, None], cb[None, :], out=scratch)
-        if w == 1.0:
-            scratch *= scratch
-            out += scratch
-        else:
-            term = w * scratch
-            term *= scratch
-            out += term
+
+def _squared_blocks(a, b, out=None):
+    """The squared distances of a's rows to b's, in blocks of at most
+    ``_BLOCK_CELLS`` distances (or one row), as ``(first row, sums)`` pairs.
+    One feature's terms live in a block buffer that every block and feature
+    reuses; the sums go into out's rows when out is given, else into a
+    second block buffer, allocated with the first, that every block reuses.
+    Each cell is summed feature by feature in schema order, exactly as a
+    scalar loop over one pair would sum it: a weight of 1 multiplies
+    nothing, and a signed difference squares as its absolute value does."""
+    step = max(1, _BLOCK_CELLS // max(1, len(b)))
+    buffers = np.empty((1 if out is not None else 2, min(step, len(a)), len(b)))
+    for lo in range(0, len(a), step):
+        units = a.unit[:, lo:lo + step]
+        rows = units.shape[1]
+        scratch = buffers[0, :rows]
+        sums = buffers[1, :rows] if out is None else out[lo:lo + rows]
+        sums.fill(0.0)
+        for kind, w, ca, cb in zip(a.cfg.kinds, a.cfg.weights, units, b.unit):
+            if kind == NUMERIC:
+                np.subtract(ca[:, None], cb[None, :], out=scratch)
+                miss_a, miss_b = np.isnan(ca), np.isnan(cb)
+                if miss_a.any() or miss_b.any():
+                    # a one-sided gap takes the far end of [0,1] from the value
+                    # that is present; a two-sided gap counts 1
+                    np.copyto(scratch, np.maximum(ca, 1.0 - ca)[:, None], where=miss_b[None, :])
+                    far_b = np.where(miss_b, 1.0, np.maximum(cb, 1.0 - cb))
+                    np.copyto(scratch, far_b[None, :], where=miss_a[:, None])
+            else:
+                # a missing symbol differs in the worst case: NaN != every code and NaN
+                np.not_equal(ca[:, None], cb[None, :], out=scratch)
+            if w == 1.0:
+                scratch *= scratch
+                sums += scratch
+            else:
+                term = w * scratch
+                term *= scratch
+                sums += term
+        yield lo, sums
+
+
+def squared_distance(a, b):
+    """All pairwise squared distances between two encoded tables, as a
+    (len(a), len(b)) array, built block by block (see ``_squared_blocks``)."""
+    out = np.empty((len(a), len(b)))
+    for _ in _squared_blocks(a, b, out):
+        pass
     return out
 
 
@@ -167,3 +189,14 @@ def distance(a, b):
 def distance_matrix(rows_a, rows_b, cfg):
     """All pairwise distances between two lists of rows."""
     return distance(encode(rows_a, cfg), encode(rows_b, cfg))
+
+
+def nearest_distances(train, rows):
+    """Distance from each encoded row to its nearest encoded training row:
+    the full matrix's minima, taken block by block. Only the minima are
+    rooted: the root is monotone and correctly rounded, so the root of a
+    minimum is the minimum of the roots."""
+    nearest = np.empty(len(rows))
+    for lo, sums in _squared_blocks(rows, train):
+        nearest[lo:lo + len(sums)] = sums.min(axis=1)
+    return np.sqrt(nearest, out=nearest)

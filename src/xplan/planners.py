@@ -172,14 +172,23 @@ def xtree_targets(tree, gamma, ds):
     return targets
 
 
+def _drawn(delta):
+    return delta.kind == SAMPLE and delta.value is None
+
+
+def xtree_draws(target):
+    """Whether ``plan_xtree`` draws from its rng for a target of ``xtree_targets``."""
+    return target is not None and any(map(_drawn, target[0]))
+
+
 def plan_xtree(target, rng):
     """Method4: the row's leaf's target from ``xtree_targets`` as a plan,
-    each SAMPLE valued None drawn from rng, in the target's order."""
+    each SAMPLE valued None drawn from rng, in the target's order; rng may
+    be None when the target does not draw (``xtree_draws``)."""
     if target is None:
         return Plan([], "xtree", {"exhausted": True})
     deltas, provenance = target
-    drawn = [replace(d, value=rng.uniform(d.lo, d.hi)) if d.kind == SAMPLE and d.value is None else d
-             for d in deltas]
+    drawn = [replace(d, value=rng.uniform(d.lo, d.hi)) if _drawn(d) else d for d in deltas]
     return Plan(drawn, "xtree", dict(provenance))
 
 

@@ -17,8 +17,8 @@ import numpy as np
 from xplan.data_model import DISCRETE, INDEPENDENT, MINIMIZE_RATE, NUMERIC, dependent_score
 from xplan.decision_tree import MIN_GAIN, TreeNode, branch_path, locate_leaf, siblings_at_level
 from xplan.discretize import Bin, _mdl_accepts
-from xplan.evaluation import ExperimentResult, nearest_distances
-from xplan.num_core import DistanceConfig, distance_matrix, encode, entropy
+from xplan.evaluation import ExperimentResult
+from xplan.num_core import DistanceConfig, distance_matrix, encode, entropy, nearest_distances
 from xplan.planners import SAMPLE, SET, SHIFT, Delta, Plan, apply_plan, check_constraints
 from xplan.predictor import CLASSIFY
 from xplan.where_cluster import centroid_of, nearest_cluster, resolve_alpha
@@ -71,8 +71,8 @@ def distance(x, y, cfg):
 
 def squared_distance(a, b):
     """All pairwise squared distances between two encoded tables, with
-    fresh temporaries for every feature: the kernel that
-    ``num_core.squared_distance`` replaced by two reused buffers."""
+    fresh full-size temporaries for every feature: the kernel that
+    ``num_core``'s block loop replaced."""
     cfg = a.cfg
     total = np.zeros((len(a), len(b)))
     for kind, w, ca, cb in zip(cfg.kinds, cfg.weights, a.unit, b.unit):

@@ -142,6 +142,12 @@ class TestPlan:
         assert "Invalid value for '--trees'" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    def test_gamma_above_1_is_allowed(self, workdir):
+        # a worse sibling qualifies
+        res = runner.invoke(main, ["plan"] + base_args(workdir, "--gamma", "1.2", "--rows", "0"))
+        assert res.exit_code == 0, stderr_of(res)
+        assert json.loads(res.output)["row"] == 0
+
     def test_alpha_below_2_is_usage_error(self, workdir):
         res = runner.invoke(main, ["plan"] + base_args(workdir, "--alpha", "1"))
         assert res.exit_code == 1
@@ -239,6 +245,23 @@ class TestEval:
             assert res.exit_code == 1
             assert res.exception is None or isinstance(res.exception, SystemExit)
             assert stderr_of(res).strip().splitlines() == ["--seed must be at least 0, not -1"]
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("command", [["eval", "--methods", "cdfs"], ["plan", "--method", "cdfs"]])
+    @pytest.mark.parametrize("option, value, why", [
+        *(("beta", v, "in (0, 1]") for v in (math.nan, math.inf, 0.0, -1.0, 5.0)),
+        *(("gamma", v, "finite and above 0") for v in (-1.0, 0.0, math.nan, math.inf)),
+    ])
+    def test_bad_beta_or_gamma_is_usage_error(self, workdir, tmp_path, command, option, value, why):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({option: value}))  # NaN and Infinity are JSON to Python
+        out = ["--out", str(tmp_path / "r")] if command[0] == "eval" else []
+        for argv in (base_args(workdir, f"--{option}", str(value)),
+                     ["--config", str(cfg)] + base_args(workdir)):
+            res = runner.invoke(main, command + argv + out)
+            assert res.exit_code == 1
+            assert res.exception is None or isinstance(res.exception, SystemExit)
+            assert stderr_of(res).strip().splitlines() == [f"--{option} must be {why}, not {value}"]
         assert not (tmp_path / "r").exists()
 
     def test_eval_loads_no_numpy_random_nor_openssl(self, workdir, tmp_path):
@@ -349,6 +372,14 @@ class TestEval:
         assert res.exit_code == 0, res.output
         assert (tmp_path / "override" / "results.jsonl").exists()
         assert not (tmp_path / "from_cfg").exists()
+
+    def test_null_config_values_leave_the_defaults(self, workdir, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(dict.fromkeys(["alpha", "beta", "gamma", "seed", "trees"])))
+        args = ["plan", "--method", "all", "--rows", "0"] + base_args(workdir)
+        res = runner.invoke(main, args + ["--config", str(cfg)])
+        assert res.exit_code == 0, stderr_of(res)
+        assert res.output == runner.invoke(main, args).output
 
     def test_unknown_config_keys_exit_1(self, workdir, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, reject, settings, strategies as st
 
-from xplan import evaluation, planners, predictor
+from xplan import evaluation, num_core, planners, predictor
 from xplan.data_model import MINIMIZE_RATE, Dataset, FeatureSpec, SplitSpec, split
 from xplan.evaluation import (
     ALL_METHODS,
@@ -19,7 +19,6 @@ from xplan.evaluation import (
     RunArtifacts,
     change_frequency,
     method_samples,
-    nearest_distances,
     read_jsonl,
     run_experiment,
     run_repeats,
@@ -27,7 +26,7 @@ from xplan.evaluation import (
     write_csv_summary,
     write_jsonl,
 )
-from xplan.num_core import DistanceConfig, distance, encode, squared_distance
+from xplan.num_core import DistanceConfig, distance, encode, nearest_distances
 from xplan.planners import Plan, PlannerConfig, apply_plan, check_constraints
 from xplan.predictor import ForestParams
 from tests import oracle
@@ -429,7 +428,7 @@ class TestBlockedNearest:
         # budgets below len(train) give one-row blocks, most others a ragged last block
         ds, probes = case
         train = encode(ds.rows, DistanceConfig.from_dataset(ds))
-        with mock.patch.object(evaluation, "_BLOCK_CELLS", budget):
+        with mock.patch.object(num_core, "_BLOCK_CELLS", budget):
             for rows in (ds.rows, *probes):
                 enc = encode(rows, train.cfg)
                 nearest = nearest_distances(train, enc)
@@ -443,13 +442,15 @@ class TestBlockedNearest:
         train = encode(tr.rows, DistanceConfig.from_dataset(tr))
         rows = encode(te.rows[:20], train.cfg)
         seen = []
+        blocks = num_core._squared_blocks
 
-        def spy(a, b, *args, **kwargs):
-            seen.append(len(a))
-            return squared_distance(a, b, *args, **kwargs)
+        def spy(a, b, *args):
+            for lo, sums in blocks(a, b, *args):
+                seen.append(len(sums))
+                yield lo, sums
 
-        monkeypatch.setattr(evaluation, "squared_distance", spy)
-        monkeypatch.setattr(evaluation, "_BLOCK_CELLS", (per_block + 1) * len(train) - 1)
+        monkeypatch.setattr(num_core, "_squared_blocks", spy)
+        monkeypatch.setattr(num_core, "_BLOCK_CELLS", (per_block + 1) * len(train) - 1)
         nearest = nearest_distances(train, rows)
         assert seen == sizes
         assert (nearest == distance(rows, train).min(axis=1)).all()

@@ -8,7 +8,7 @@ Two fixed runs are compared, byte for byte, with the files under
 - ``config.jsonl``: ``xplan eval`` on a small configuration table with a
   rule file, so constraint culling is part of the output.
 
-Both runs are checked once more with the trust distances taken in
+Both runs are checked once more with every distance matrix built in
 one-row and in ragged blocks. A change that must not move any result
 has to pass all of them unchanged. To
 regenerate the files from the code of the current checkout (only when a
@@ -23,7 +23,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from xplan import evaluation
+from xplan import evaluation, num_core
 from xplan.cli import main
 from xplan.evaluation import ALL_METHODS, run_repeats, write_jsonl
 from xplan.planners import PlannerConfig
@@ -94,11 +94,11 @@ def test_config_with_rules_matches_golden(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("budget", [1, 4500])
 def test_goldens_hold_in_small_trust_blocks(tmp_path, monkeypatch, budget):
-    """The trust distances in one-row blocks, and in ragged ones: 4,500
-    cells are 7 of the planted run's 600 training rows (its 200 test rows
-    make 28 blocks and 4 rows) and 37 of the config run's 120 (3 blocks
-    and 9 rows)."""
-    monkeypatch.setattr(evaluation, "_BLOCK_CELLS", budget)
+    """Every distance matrix in one-row blocks, and in ragged ones. For the
+    trust distances, 4,500 cells are 7 of the planted run's 600 training
+    rows (its 200 test rows make 28 blocks and 4 rows) and 37 of the config
+    run's 120 (3 blocks and 9 rows)."""
+    monkeypatch.setattr(num_core, "_BLOCK_CELLS", budget)
     write_planted(tmp_path / "results.jsonl")
     assert (tmp_path / "results.jsonl").read_bytes() == (GOLDEN / "planted.jsonl").read_bytes()
     assert write_config(tmp_path).read_bytes() == (GOLDEN / "config.jsonl").read_bytes()

@@ -1,13 +1,24 @@
 import math
 import random
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from xplan import num_core
 from xplan.data_model import MINIMIZE_RATE, Dataset, FeatureSpec
-from xplan.num_core import DistanceConfig, distance, distance_matrix, encode, squared_distance
+from xplan.num_core import (
+    DistanceConfig,
+    distance,
+    distance_matrix,
+    encode,
+    nearest_distances,
+    squared_distance,
+)
 from tests import oracle
+from tests.conftest import planted_defect_data
 from tests.oracle import variability
 
 
@@ -209,23 +220,53 @@ class TestKernelMatchesScalarOracle:
 
 
 class TestBufferedKernel:
-    """The kernel writing into two caller-owned buffers must give the sums of
-    the allocating reference (``oracle.squared_distance``) bit for bit."""
+    """The block loop reuses its block buffers over every block and feature;
+    whatever the block budget, the sums must be those of the allocating
+    reference (``oracle.squared_distance``) bit for bit."""
 
     @settings(max_examples=200, deadline=None)
-    @given(schema_and_rows(weights=(0.0, 0.5, 1.0, 2.5)), st.integers(1, 4))
-    def test_buffers_reused_over_ragged_blocks_give_the_reference_sums(self, case, step):
+    @given(schema_and_rows(weights=(0.0, 0.5, 1.0, 2.5)), st.data())
+    def test_buffers_reused_over_ragged_blocks_give_the_reference_sums(self, case, data):
         ds, probes = case
         train = encode(ds.rows, DistanceConfig.from_dataset(ds))
-        for rows in (ds.rows, *probes):
-            enc = encode(rows, train.cfg)
-            ref = oracle.squared_distance(enc, train)
-            assert not np.isnan(ref).any()
-            assert np.array_equal(squared_distance(enc, train), ref)
-            # stale contents must not leak into the next block's sums
-            buffers = np.full((2, step, len(train)), np.nan)
-            for lo in range(0, len(rows), step):
-                block = enc.take(slice(lo, lo + step))
-                out, scratch = buffers[:, :len(block)]
-                assert squared_distance(block, train, out, scratch) is out
-                assert np.array_equal(out, ref[lo:lo + step])
+        # 1-4 rows per block, most often with a ragged last block; a budget
+        # below one row gives one-row blocks
+        budget = data.draw(st.integers(1, 4 * len(train)))
+        with mock.patch.object(num_core, "_BLOCK_CELLS", budget):
+            for rows in (ds.rows, *probes):
+                enc = encode(rows, train.cfg)
+                ref = oracle.squared_distance(enc, train)
+                assert not np.isnan(ref).any()
+                assert np.array_equal(squared_distance(enc, train), ref)
+                assert np.array_equal(distance(enc, train), np.sqrt(ref))
+
+    @settings(max_examples=200, deadline=None)
+    @given(schema_and_rows(), st.integers(1, 40))
+    def test_any_budget_gives_the_reference_sums_and_minima(self, case, budget):
+        # each table measured against the other, so either side may be the larger
+        ds, probes = case
+        cfg = DistanceConfig.from_dataset(ds)
+        tables = [encode(rows, cfg) for rows in (ds.rows, *probes)]
+        with mock.patch.object(num_core, "_BLOCK_CELLS", budget):
+            for a in tables:
+                for b in tables:
+                    ref = oracle.squared_distance(a, b)
+                    assert np.array_equal(squared_distance(a, b), ref)
+                    if len(b):
+                        assert np.array_equal(nearest_distances(b, a), np.sqrt(ref.min(axis=1)))
+
+    def test_a_matrix_needs_no_temporary_of_its_own_size(self):
+        # a seed's 1000 test rows against 64 centroids: the terms of one
+        # feature live in one block buffer, not in a second matrix
+        tr, te = planted_defect_data(n_train=600, n_test=1000)
+        cfg = DistanceConfig.from_dataset(tr)
+        rows, centroids = encode(te.rows, cfg), encode(tr.rows[:64], cfg)
+        distance(rows, centroids)  # normalizes both tables before tracing
+        tracemalloc.start()
+        try:
+            result = distance(rows, centroids)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.shape == (1000, 64)
+        assert peak < 1.75 * result.nbytes
