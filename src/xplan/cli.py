@@ -55,6 +55,18 @@ def _load_config_file(ctx, _param, value):
     return value
 
 
+class _Integer(click.types.IntParamType):
+    """click's integer, but a --config value that is not a whole number
+    (2.5, NaN, Infinity) is a usage error, not truncated nor a traceback."""
+
+    def convert(self, value, param, ctx):
+        if isinstance(value, float) and not value.is_integer():
+            self.fail(f"{value!r} is not a valid integer.", param, ctx)
+        return super().convert(value, param, ctx)
+
+
+INTEGER = _Integer()
+
 _shared = [
     click.option("--config", type=click.Path(exists=True), callback=_load_config_file,
                  is_eager=True, expose_value=False,
@@ -63,19 +75,19 @@ _shared = [
     click.option("--schema", required=True, type=click.Path(exists=True), help="Schema sidecar JSON."),
     click.option("--constraints", type=click.Path(exists=True), default=None,
                  help="Feature-model rule file used to cull invalid plans."),
-    click.option("--alpha", type=int, default=None,
+    click.option("--alpha", type=INTEGER, default=None,
                  help="Minimum split size for clustering and trees [default: ceil(sqrt(N))]."),
     click.option("--beta", type=float, default=0.33, show_default=True,
                  help="Fraction of most-informative features kept by cdfs/bic, in (0, 1]."),
     click.option("--gamma", type=float, default=0.5, show_default=True,
                  help="xtree sibling threshold: score < gamma * current score; finite and "
                       "above 0, and above 1 a worse sibling qualifies."),
-    click.option("--seed", type=int, default=1, show_default=True),
+    click.option("--seed", type=INTEGER, default=1, show_default=True),
     click.option("--split-mode", type=click.Choice(["random-half", "by-version"]),
                  default="random-half", show_default=True),
     click.option("--train-versions", default="", help="Comma-separated versions (by-version mode)."),
     click.option("--test-versions", default="", help="Comma-separated versions (by-version mode)."),
-    click.option("--trees", type=int, default=100, show_default=True, help="Forest size."),
+    click.option("--trees", type=INTEGER, default=100, show_default=True, help="Forest size."),
     click.option("--tune/--no-tune", default=False, show_default=True,
                  help="Tune forest hyperparameters with differential evolution."),
     click.option("--smote/--no-smote", "use_smote", default=False, show_default=True,
@@ -159,8 +171,9 @@ def _rank(results, seed):
 
 
 class _Main(click.Group):
-    """Exits 1 on click's usage errors too (2 means a failed gate), which the
-    group's arguments raise in ``make_context`` and a command's in ``invoke``."""
+    """Exits 1 on click's usage errors too (2 means a failed gate), with one
+    ``Error:`` line and no usage text; the group's arguments raise them in
+    ``make_context`` and a command's in ``invoke``."""
 
     def make_context(self, *args, **kwargs):
         return _usage_exit(super().make_context, *args, **kwargs)
@@ -172,9 +185,12 @@ class _Main(click.Group):
 def _usage_exit(fn, *args, **kwargs):
     try:
         return fn(*args, **kwargs)
-    except click.UsageError as exc:
+    except click.exceptions.NoArgsIsHelpError as exc:  # the help text, not an error line
         exc.exit_code = EXIT_DATA
         raise
+    except click.UsageError as exc:
+        click.echo(f"Error: {exc.format_message()}", err=True)
+        sys.exit(EXIT_DATA)
 
 
 @click.group(cls=_Main)
@@ -208,7 +224,7 @@ def cmd_plan(method, rows, seed, **shared):
 @shared_options
 @click.option("--methods", default="cd,cdfs,bic,xtree", show_default=True,
               help="Comma-separated methods (identity, cd, cdfs, bic, xtree).")
-@click.option("--repeats", type=int, default=40, show_default=True)
+@click.option("--repeats", type=INTEGER, default=40, show_default=True)
 @click.option("--out", type=click.Path(), default="results", show_default=True,
               help="Output directory for JSONL and CSV results.")
 @click.option("--format", "fmt", type=click.Choice(["text", "json", "csv"]),
@@ -217,8 +233,11 @@ def cmd_eval(methods, repeats, out, fmt, seed, **shared):
     """Run repeated experiments and print the ranked report."""
     method_list = [m for m in methods.split(",") if m]
     bad = [m for m in method_list if m not in ALL_METHODS]
-    if bad or not method_list or repeats < 1:
-        click.echo(f"bad methods or repeats: {bad or methods!r}", err=True)
+    if bad or not method_list:
+        click.echo(f"bad methods: {bad or methods!r}", err=True)
+        sys.exit(EXIT_DATA)
+    if repeats < 1:
+        click.echo(f"--repeats must be at least 1, not {repeats}", err=True)
         sys.exit(EXIT_DATA)
     train, test, fm, params, cfg = _prepare(seed=seed, **shared)
     try:
@@ -247,7 +266,7 @@ def cmd_eval(methods, repeats, out, fmt, seed, **shared):
 
 @main.command("report")
 @click.argument("results_path", type=click.Path())
-@click.option("--seed", type=int, default=1, show_default=True)
+@click.option("--seed", type=INTEGER, default=1, show_default=True)
 def cmd_report(results_path, seed):
     """Rank table, change frequencies and trust summary from saved results."""
     try:

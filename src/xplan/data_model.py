@@ -5,7 +5,9 @@ derived from a raw defect count, and configuration tables with a numeric
 runtime class. Either way the dependent value is minimized.
 
 Cells are floats (numeric), strings (discrete), bools (boolean class) or
-None (missing, written as ``?`` or ``nan`` in CSV).
+None (missing, written as ``?`` or ``nan`` in CSV). ``load_csv`` gives each
+distinct discrete symbol of a file one shared string object, so a column of
+on/off options holds two strings however many rows it has.
 """
 
 from __future__ import annotations
@@ -155,7 +157,9 @@ def load_schema(path):
     return feats, raw.get("class_mode", "boolean-from-count")
 
 
-def _parse_cell(text, feat):
+def _parse_cell(text, feat, symbols):
+    """One CSV cell's value; a discrete cell is the one object ``symbols``
+    holds for its text."""
     text = text.strip()
     if text == MISSING:
         return None
@@ -169,7 +173,7 @@ def _parse_cell(text, feat):
         if math.isinf(value):
             raise DataError(f"infinite cell {text!r} in numeric column {feat.name!r}")
         return None  # nan reads as missing, like ``?``
-    return text
+    return symbols.setdefault(text, text)
 
 
 def read_lines(path):
@@ -182,7 +186,8 @@ def read_lines(path):
 
 
 def load_csv(path, schema, class_mode="boolean-from-count"):
-    """Load a CSV whose header matches the schema names, in order."""
+    """Load a CSV whose header matches the schema names, in order. Equal
+    discrete cells share one string, from a table that ends with the call."""
     features = list(schema)
     reader = csv.reader(read_lines(path))
     header = next(reader, None)
@@ -191,12 +196,13 @@ def load_csv(path, schema, class_mode="boolean-from-count"):
     if [h.strip() for h in header] != [f.name for f in features]:
         raise DataError(f"{path}: header does not match schema names")
     rows = []
+    symbols = {}
     for lineno, rec in enumerate(reader, start=2):
         if not rec:
             continue
         if len(rec) != len(features):
             raise DataError(f"{path}:{lineno}: expected {len(features)} cells, got {len(rec)}")
-        rows.append([_parse_cell(c, f) for c, f in zip(rec, features)])
+        rows.append([_parse_cell(c, f, symbols) for c, f in zip(rec, features)])
 
     dep = next(f for f in features if f.role == DEPENDENT)
     di = features.index(dep)

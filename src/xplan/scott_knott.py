@@ -1,10 +1,11 @@
 """Scott-Knott ranking of repeated measurements.
 
-Methods are sorted by median, then recursively split at the boundary that
-maximizes the between-group sum of squared mean differences. A split is
-kept only when a bootstrap test (99% confidence) and the A12 effect size
-(>= 0.6) both call the halves different. Methods left in one group share
-a rank.
+Methods are sorted by median, ties by mean and then by name, so a method
+never ranks below one it beats and the input order moves no rank. They are
+then recursively split at the boundary that maximizes the between-group
+sum of squared mean differences. A split is kept only when a bootstrap
+test (99% confidence) and the A12 effect size (>= 0.6) both call the
+halves different. Methods left in one group share a rank.
 """
 
 from __future__ import annotations
@@ -114,7 +115,7 @@ def scott_knott_rank(samples, rng=None):
     if not samples:
         raise ValueError("no samples to rank")
     rng = rng or random.Random(1)
-    ordered = sorted(samples, key=lambda s: s.median)
+    ordered = sorted(samples, key=lambda s: (s.median, fmean(s.values), s.method))
     groups = []
 
     def divide(methods):

@@ -1,18 +1,23 @@
 import json
 import math
 import os
+import random
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
 from xplan import evaluation
 from xplan.cli import main
+from xplan.data_model import Dataset
+from xplan.evaluation import read_jsonl
 from xplan.predictor import GateError
-from tests.conftest import save_csv
-from tests.test_golden import config_inputs
+from tests.conftest import config_runtime_data, planted_defect_data, save_csv, with_gaps
+from tests.test_golden import RULES, config_inputs
 
 
 @pytest.fixture(scope="module")
@@ -132,6 +137,8 @@ class TestPlan:
             res = runner.invoke(main, args)
             assert res.exit_code == 1, args
             assert res.exception is None or isinstance(res.exception, SystemExit)
+            [line] = stderr_of(res).strip().splitlines()  # no usage text nor hint
+            assert line.startswith("Error: "), args
 
     def test_usage_error_exits_1_as_a_module(self, workdir):
         src = str(Path(__file__).resolve().parents[1] / "src")
@@ -231,6 +238,30 @@ class TestEval:
         assert res.exit_code == 1
         assert res.exception is None or isinstance(res.exception, SystemExit)
         assert stderr_of(res).strip().splitlines() == [f"--trees must be at least 1, not {trees}"]
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("option, value", [("trees", math.inf), ("trees", 2.5),
+                                               ("seed", -math.inf), ("alpha", math.nan),
+                                               ("repeats", math.inf)])
+    def test_config_integer_that_is_not_whole_is_usage_error(self, workdir, tmp_path, option, value):
+        # Infinity used to raise OverflowError in click's int(), and 2.5 was
+        # truncated to 2
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({option: value}))
+        res = runner.invoke(main, ["eval", "--config", str(cfg), *base_args(workdir)[:4],
+                                   "--out", str(tmp_path / "r")])
+        assert res.exit_code == 1
+        assert res.exception is None or isinstance(res.exception, SystemExit)
+        assert stderr_of(res).strip().splitlines() == [
+            f"Error: Invalid value for '--{option}': {value!r} is not a valid integer."]
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("repeats", ["0", "-2"])
+    def test_bad_repeats_is_usage_error(self, workdir, tmp_path, repeats):
+        res = runner.invoke(main, ["eval"] + base_args(
+            workdir, "--repeats", repeats, "--out", str(tmp_path / "r")))
+        assert res.exit_code == 1
+        assert stderr_of(res).strip().splitlines() == [f"--repeats must be at least 1, not {repeats}"]
         assert not (tmp_path / "r").exists()
 
     @pytest.mark.parametrize("command", ["eval", "plan"])
@@ -440,6 +471,93 @@ class TestEval:
             res = runner.invoke(main, ["plan", "--config", str(cfg)] + base_args(workdir))
             assert res.exit_code == 1
             assert "not a readable JSON object" in stderr_of(res)
+
+
+def drawn_inputs(root, source, n_rows, data_seed, gaps, constant, single_class):
+    """CSV and schema of a small table from a conftest generator: "planted"
+    defects or "config" runtimes (with its rule file), with about ``gaps``
+    of its independent cells missing, its first feature ``constant`` and
+    its dependent a ``single_class``, as asked. Returns the CLI arguments
+    that name the files."""
+    if source == "planted":
+        train, test = planted_defect_data(n_rows, 0, data_seed)
+        ds, fill, mode = train, (50.0, False), "boolean-from-count"
+    else:
+        ds, _ = config_runtime_data(n_rows, data_seed)
+        fill, mode = ("on", 150.0), "numeric"
+    rows = [[fill[0] if constant and i == 0 else c for i, c in enumerate(r[:-1])]
+            + [fill[1] if single_class else r[-1]] for r in ds.rows]
+    ds = with_gaps(Dataset(ds.features, rows, ds.objective), random.Random(data_seed), gaps)
+    save_csv(ds, root / "data.csv")
+    schema = {"class_mode": mode,
+              "features": [{"name": f.name, "kind": f.kind, "role": f.role} for f in ds.features]}
+    (root / "schema.json").write_text(json.dumps(schema))
+    args = ["--data", str(root / "data.csv"), "--schema", str(root / "schema.json")]
+    if source == "config":
+        (root / "rules.txt").write_text(RULES)
+        args += ["--constraints", str(root / "rules.txt")]
+    return args
+
+
+# Valid and bad values of each drawn option: non-finite, zero, negative,
+# fractional for an integer, and a seed past 32 bits.
+OPTION_VALUES = {
+    "alpha": ([2, 5, 12], [-1, 0, 1, math.nan, math.inf, 2.5]),
+    "beta": ([0.05, 0.33, 1.0], [math.nan, math.inf, -math.inf, 0.0, -0.5, 1.5]),
+    "gamma": ([1e-3, 0.5, 1.2], [math.nan, math.inf, -math.inf, 0.0, -1.0]),
+    "trees": ([1, 2, 3], [-1, 0, math.nan, math.inf, 2.5]),
+    "seed": ([0, 1, 2**32 + 5], [-1, math.nan, -math.inf]),
+    "repeats": ([1, 2], [-1, 0, math.nan, math.inf]),
+}
+
+
+@st.composite
+def drawn_options(draw):
+    """Some options at valid values, and at most one at a bad value."""
+    options = draw(st.fixed_dictionaries({}, optional={
+        name: st.sampled_from(valid) for name, (valid, _) in OPTION_VALUES.items()}))
+    bad = draw(st.none() | st.sampled_from(sorted(OPTION_VALUES)))
+    if bad:
+        options[bad] = draw(st.sampled_from(OPTION_VALUES[bad][1]))
+    return options
+
+
+class TestOptionProperty:
+    """Whatever the options and data, ``eval`` and ``plan`` exit 0, 1 or 2;
+    an error is one stderr line and never a traceback; an option gives the
+    same exit code and output as a flag and through ``--config``."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(source=st.sampled_from(["planted", "config"]), n_rows=st.integers(2, 60),
+           data_seed=st.integers(0, 50), gaps=st.sampled_from([0.0, 0.3]),
+           constant=st.booleans(), single_class=st.booleans(), options=drawn_options())
+    def test_exit_codes_and_one_line_errors(self, source, n_rows, data_seed, gaps, constant,
+                                            single_class, options):
+        options = {"trees": 3, "repeats": 1, **options}
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            data = drawn_inputs(root, source, n_rows, data_seed, gaps, constant, single_class)
+            for command in ("eval", "plan"):
+                given_opts = {k: v for k, v in options.items() if command == "eval" or k != "repeats"}
+                cfg = root / f"{command}.json"
+                cfg.write_text(json.dumps(given_opts))  # NaN and Infinity are JSON to Python
+                flags = [a for k, v in given_opts.items() for a in (f"--{k}", str(v))]
+                runs = []
+                for how, argv in (("flag", data + flags), ("config", ["--config", str(cfg)] + data)):
+                    out = ["--out", str(root / how)] if command == "eval" else []
+                    res = runner.invoke(main, [command] + argv + out)
+                    assert res.exit_code in (0, 1, 2), (command, how, res.exception)
+                    assert res.exception is None or isinstance(res.exception, SystemExit), \
+                        (command, how, repr(res.exception))
+                    err = stderr_of(res)
+                    if res.exit_code:
+                        assert len(err.strip().splitlines()) == 1 and "Traceback" not in err, \
+                            (command, how, err)
+                    elif command == "eval":
+                        results = read_jsonl(root / how / "results.jsonl")
+                        assert {r.seed for rs in results.values() for r in rs}
+                    runs.append((res.exit_code, res.stdout))  # a flag's message quotes its text
+                assert runs[0] == runs[1], (command, given_opts)
 
 
 class TestReport:

@@ -16,7 +16,7 @@ from xplan.data_model import (
     load_schema,
     split,
 )
-from tests.conftest import save_csv
+from tests.conftest import config_runtime_data, save_csv
 from tests.oracle import normalize_bounds
 
 DEFECT_SCHEMA = [
@@ -209,6 +209,55 @@ def test_csv_roundtrip_bit_exact(tmp_path):
     save_csv(ds, out)
     ds2 = load_csv(out, feats, "numeric")
     assert ds.rows == ds2.rows
+
+
+def load_config_table(tmp_path):
+    ds, _ = config_runtime_data(n_rows=60, seed=3)
+    save_csv(ds, tmp_path / "c.csv")
+    return load_csv(tmp_path / "c.csv", ds.features, "numeric")
+
+
+def symbol_objects(rows, i):
+    """Distinct symbols and distinct objects of column i's non-missing cells."""
+    cells = [r[i] for r in rows if r[i] is not None]
+    return set(cells), {id(c) for c in cells}
+
+
+def test_each_distinct_symbol_is_one_object(tmp_path):
+    ds = load_config_table(tmp_path)
+    discrete = [i for i, f in enumerate(ds.features) if f.kind == "discrete"]
+    assert len(discrete) == 8
+    for i in discrete:
+        symbols, objects = symbol_objects(ds.rows, i)
+        assert symbols == {"on", "off"}
+        assert len(objects) == len(symbols)
+
+
+def test_split_sides_share_the_symbol_objects(tmp_path):
+    ds = load_config_table(tmp_path)
+    train, test = split(ds, SplitSpec(seed=5))
+    for i, f in enumerate(ds.features):
+        if f.kind == "discrete":
+            _, objects = symbol_objects(ds.rows, i)
+            assert symbol_objects(train.rows, i)[1] | symbol_objects(test.rows, i)[1] == objects
+
+
+def test_padded_copies_of_a_symbol_are_one_object_and_missing_stays_none(tmp_path):
+    feats = [FeatureSpec("opt", kind="discrete"), FeatureSpec("rt", role="dependent")]
+    p = tmp_path / "s.csv"
+    p.write_text("opt,rt\non,1\n on,2\non ,3\n?,4\n")
+    ds = load_csv(p, feats, "numeric")
+    assert [r[0] for r in ds.rows] == ["on", "on", "on", None]
+    assert len({id(r[0]) for r in ds.rows[:3]}) == 1
+
+
+def test_loading_a_file_twice_gives_equal_datasets(tmp_path):
+    ds = load_config_table(tmp_path)
+    again = load_csv(tmp_path / "c.csv", ds.features, "numeric")
+    assert again.rows == ds.rows
+    assert again.features == ds.features
+    assert again.bounds == ds.bounds
+    assert again.objective == ds.objective
 
 
 def test_dependent_score_rate_and_median():

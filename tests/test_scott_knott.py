@@ -2,7 +2,7 @@ import random
 import statistics
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from xplan.scott_knott import (
     MethodSamples,
@@ -143,6 +143,55 @@ class TestRanking:
         blob = report.to_json()
         assert [d["method"] for d in blob] == [e.method for e in report.entries]
         assert all(set(d) == {"rank", "method", "median", "iqr", "q1", "q3"} for d in blob)
+
+
+# Ratios as the planners give them: many exactly 1.0, as all of identity's
+# are, and the rest anywhere in [0, 2].
+SAMPLE = st.builds(lambda ones, rest: [1.0] * ones + rest, st.integers(0, 25),
+                   st.lists(st.floats(0, 2).map(lambda x: round(x, 1)), max_size=15)).filter(bool)
+METHOD_SAMPLES = st.lists(SAMPLE, min_size=2, max_size=4).map(
+    lambda values: [MethodSamples(f"m{k}", v) for k, v in enumerate(values)])
+
+
+class TestRankProperties:
+    """The rank order follows (median, mean): no method ranks below one
+    whose median is higher, or equal with a higher mean."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(METHOD_SAMPLES, st.integers(0, 3))
+    # identity given first: a median-only sort kept it ahead of cdfs, which
+    # ties its median of 1.0 with a lower mean, and the split between them
+    # is significant
+    @example([MethodSamples("identity", [1.0] * 40),
+              MethodSamples("cdfs", [1.0] * 32 + [0.3] * 8)], 1)
+    def test_a_better_rank_has_no_worse_median_nor_tied_mean(self, samples, seed):
+        report = scott_knott_rank(samples, rng=random.Random(seed))
+        rank = {e.method: e.rank for e in report.entries}
+        for a in samples:
+            for b in samples:
+                if rank[a.method] < rank[b.method]:
+                    assert a.median <= b.median
+                    if a.median == b.median:
+                        assert fmean(a.values) <= fmean(b.values)
+
+    @settings(max_examples=60, deadline=None)
+    @given(METHOD_SAMPLES, st.randoms(use_true_random=False), st.integers(0, 3))
+    def test_input_order_changes_no_rank(self, samples, shuffler, seed):
+        permuted = list(samples)
+        shuffler.shuffle(permuted)
+        first = scott_knott_rank(samples, rng=random.Random(seed))
+        second = scott_knott_rank(permuted, rng=random.Random(seed))
+        assert first.entries == second.entries
+
+    def test_tied_medians_rank_by_mean_then_name(self):
+        # identity's ratios are all 1.0; "bic" and "cdfs" share its median
+        # but not its mean, and "b" and "a" tie it on both
+        samples = [MethodSamples("identity", [1.0] * 10),
+                   MethodSamples("bic", [0.2, 0.4, 1.0, 1.0, 1.0, 1.0, 1.0]),
+                   MethodSamples("cdfs", [0.8, 1.0, 1.0, 1.0, 1.0]),
+                   MethodSamples("b", [1.0]), MethodSamples("a", [1.0, 1.0])]
+        report = scott_knott_rank(samples)
+        assert [e.method for e in report.entries] == ["bic", "cdfs", "a", "b", "identity"]
 
 
 class TestQuartiles:
