@@ -1,11 +1,16 @@
-"""Shared fixtures: small synthetic datasets with known structure."""
+"""Shared fixtures: small synthetic datasets with known structure, and
+an in-process runner of the ``xplan`` command line."""
 
+import contextlib
 import csv
+import io
 import math
 import random
+from dataclasses import dataclass
 
 import pytest
 
+from xplan.cli import main
 from xplan.data_model import (
     INDEPENDENT,
     MINIMIZE_RATE,
@@ -21,6 +26,37 @@ from xplan.decision_tree import build_tree
 from xplan.num_core import DistanceConfig, encode
 from xplan.planners import FeatureModel
 from xplan.predictor import forest_input, train_forest
+
+
+@dataclass(frozen=True)
+class CliResult:
+    """One ``xplan`` run: its exit code, its stdout and stderr kept apart,
+    and the exception it raised other than SystemExit, if any."""
+
+    exit_code: int
+    stdout: str
+    stderr: str
+    exception: Exception | None
+
+    @property
+    def output(self):
+        return self.stdout
+
+
+def run_cli(args):
+    """Run ``xplan`` with ``args`` in this process, its output captured. An
+    exception other than SystemExit is kept, not raised, with exit code 1,
+    as the interpreter would exit."""
+    out, err = io.StringIO(), io.StringIO()
+    code, exception = 0, None
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            main(args)
+        except SystemExit as exc:
+            code = 0 if exc.code is None else exc.code
+        except Exception as exc:
+            code, exception = 1, exc
+    return CliResult(code, out.getvalue(), err.getvalue(), exception)
 
 
 def _format_cell(cell):

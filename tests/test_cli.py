@@ -8,15 +8,13 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 from xplan import evaluation
-from xplan.cli import main
 from xplan.data_model import Dataset
 from xplan.evaluation import read_jsonl
 from xplan.predictor import GateError
-from tests.conftest import config_runtime_data, planted_defect_data, save_csv, with_gaps
+from tests.conftest import config_runtime_data, planted_defect_data, run_cli, save_csv, with_gaps
 from tests.test_golden import RULES, config_inputs
 
 
@@ -46,9 +44,6 @@ def base_args(workdir, *extra):
     ]
 
 
-runner = CliRunner()
-
-
 def heavy_modules_loaded_by_eval(workdir, tmp_path, *extra):
     """The modules an eval of identity and xtree on ``workdir``'s inputs
     should never load but did, as the child process prints their list."""
@@ -61,19 +56,12 @@ def heavy_modules_loaded_by_eval(workdir, tmp_path, *extra):
               "except SystemExit as exc:\n"
               "    assert not exc.code, exc.code\n"
               "print(sorted({'numpy.random', 'secrets', '_hashlib', 'statistics', 'fractions',\n"
-              "              'decimal', 'numpy.ma'} & set(sys.modules)))\n")
+              "              'decimal', 'numpy.ma', 'click'} & set(sys.modules)))\n")
     proc = subprocess.run([sys.executable, "-c", script, "eval", *base_args(
         workdir, "--methods", "identity,xtree", "--out", str(tmp_path / "r"), *extra)],
         capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.strip().splitlines()[-1]
-
-
-def stderr_of(res):
-    try:
-        return res.stderr
-    except ValueError:  # stderr mixed into output on older click
-        return res.output
 
 
 def versioned(workdir):
@@ -92,9 +80,7 @@ def versioned(workdir):
 
 class TestPlan:
     def test_emits_json_per_row(self, workdir):
-        res = runner.invoke(
-            main, ["plan"] + base_args(workdir, "--method", "xtree", "--rows", "0,1,2")
-        )
+        res = run_cli(["plan"] + base_args(workdir, "--method", "xtree", "--rows", "0,1,2"))
         assert res.exit_code == 0, res.output
         lines = res.output.strip().splitlines()
         assert len(lines) == 3
@@ -105,39 +91,39 @@ class TestPlan:
             assert isinstance(blob["deltas"], list)
 
     def test_all_methods(self, workdir):
-        res = runner.invoke(
-            main, ["plan"] + base_args(workdir, "--method", "all", "--rows", "0")
-        )
+        res = run_cli(["plan"] + base_args(workdir, "--method", "all", "--rows", "0"))
         assert res.exit_code == 0, res.output
         methods = [json.loads(l)["method"] for l in res.output.strip().splitlines()]
         assert methods == ["cd", "cdfs", "bic", "xtree"]
 
     def test_deterministic_output(self, workdir):
         args = ["plan"] + base_args(workdir, "--method", "cd", "--rows", "0,5")
-        out1 = runner.invoke(main, args).output
-        out2 = runner.invoke(main, args).output
+        out1 = run_cli(args).output
+        out2 = run_cli(args).output
         assert out1 == out2
 
     def test_missing_data_file_is_usage_error(self, workdir):
-        res = runner.invoke(main, [
+        res = run_cli([
             "plan", "--data", str(workdir / "nope.csv"),
             "--schema", str(workdir / "schema.json"),
         ])
         assert res.exit_code == 1
 
-    def test_click_usage_errors_exit_1(self, workdir, tmp_path):
-        # click's own usage errors: a bad option type, a missing required
-        # option, an option value from --config, an unknown command or option
+    def test_parser_usage_errors_exit_1(self, workdir, tmp_path):
+        # usage errors of the parser and the option converters: a bad option
+        # type, a missing required option, an option value from --config, an
+        # unknown command or option, an option's prefix
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"trees": "abc"}))
         for args in (["plan"] + base_args(workdir, "--trees", "abc"),
                      ["plan", "--schema", str(workdir / "schema.json")],
                      ["plan", "--config", str(cfg)] + base_args(workdir)[:4],
-                     ["planz"], ["--bogus"]):
-            res = runner.invoke(main, args)
+                     ["planz"], ["--bogus"],
+                     ["plan"] + base_args(workdir)[:4] + ["--tree", "15"]):
+            res = run_cli(args)
             assert res.exit_code == 1, args
             assert res.exception is None or isinstance(res.exception, SystemExit)
-            [line] = stderr_of(res).strip().splitlines()  # no usage text nor hint
+            [line] = res.stderr.strip().splitlines()  # no usage text nor hint
             assert line.startswith("Error: "), args
 
     def test_usage_error_exits_1_as_a_module(self, workdir):
@@ -151,14 +137,14 @@ class TestPlan:
 
     def test_gamma_above_1_is_allowed(self, workdir):
         # a worse sibling qualifies
-        res = runner.invoke(main, ["plan"] + base_args(workdir, "--gamma", "1.2", "--rows", "0"))
-        assert res.exit_code == 0, stderr_of(res)
+        res = run_cli(["plan"] + base_args(workdir, "--gamma", "1.2", "--rows", "0"))
+        assert res.exit_code == 0, res.stderr
         assert json.loads(res.output)["row"] == 0
 
     def test_alpha_below_2_is_usage_error(self, workdir):
-        res = runner.invoke(main, ["plan"] + base_args(workdir, "--alpha", "1"))
+        res = run_cli(["plan"] + base_args(workdir, "--alpha", "1"))
         assert res.exit_code == 1
-        assert stderr_of(res).strip().splitlines() == ["--alpha must be at least 2, not 1"]
+        assert res.stderr.strip().splitlines() == ["--alpha must be at least 2, not 1"]
 
     def test_non_utf8_inputs_exit_1(self, workdir, tmp_path):
         data = tmp_path / "latin1.csv"
@@ -167,31 +153,31 @@ class TestPlan:
         rules.write_bytes(b"# caf\xe9\n")
         for path, args in ((data, ["--data", str(data), "--schema", str(workdir / "schema.json")]),
                            (rules, base_args(workdir, "--constraints", str(rules)))):
-            res = runner.invoke(main, ["plan"] + args)
+            res = run_cli(["plan"] + args)
             assert res.exit_code == 1
             assert res.exception is None or isinstance(res.exception, SystemExit)
-            assert stderr_of(res).strip().splitlines() == [f"{path}: not UTF-8 text"]
+            assert res.stderr.strip().splitlines() == [f"{path}: not UTF-8 text"]
 
     @pytest.mark.parametrize("rows", ["999", "x", "0,-1"])
     def test_bad_rows_is_usage_error(self, workdir, rows):
-        res = runner.invoke(main, ["plan"] + base_args(workdir, "--rows", rows))
+        res = run_cli(["plan"] + base_args(workdir, "--rows", rows))
         assert res.exit_code == 1
         assert res.exception is None or isinstance(res.exception, SystemExit)
-        assert len(stderr_of(res).strip().splitlines()) == 1
-        assert "--rows" in stderr_of(res)
+        assert len(res.stderr.strip().splitlines()) == 1
+        assert "--rows" in res.stderr
 
     @pytest.mark.parametrize("trees", ["0", "-3"])
     def test_bad_trees_is_usage_error(self, workdir, trees):
-        res = runner.invoke(main, ["plan"] + base_args(workdir, "--trees", trees))
+        res = run_cli(["plan"] + base_args(workdir, "--trees", trees))
         assert res.exit_code == 1
         assert res.exception is None or isinstance(res.exception, SystemExit)
-        assert stderr_of(res).strip().splitlines() == [f"--trees must be at least 1, not {trees}"]
+        assert res.stderr.strip().splitlines() == [f"--trees must be at least 1, not {trees}"]
 
 
 class TestEval:
     def test_text_report_and_artifacts(self, workdir, tmp_path):
         out = tmp_path / "res"
-        res = runner.invoke(main, ["eval"] + base_args(
+        res = run_cli(["eval"] + base_args(
             workdir, "--methods", "identity,xtree", "--repeats", "2",
             "--out", str(out)))
         assert res.exit_code == 0, res.output
@@ -201,7 +187,7 @@ class TestEval:
         assert len((out / "results.jsonl").read_text().strip().splitlines()) == 4
 
     def test_json_format(self, workdir, tmp_path):
-        res = runner.invoke(main, ["eval"] + base_args(
+        res = run_cli(["eval"] + base_args(
             workdir, "--methods", "identity,xtree", "--repeats", "2",
             "--out", str(tmp_path / "r"), "--format", "json"))
         assert res.exit_code == 0, res.output
@@ -214,8 +200,8 @@ class TestEval:
                                      "--out", str(tmp_path / "a"))
         args2 = ["eval"] + base_args(workdir, "--methods", "xtree", "--repeats", "2",
                                      "--out", str(tmp_path / "b"))
-        out1 = runner.invoke(main, args1)
-        out2 = runner.invoke(main, args2)
+        out1 = run_cli(args1)
+        out2 = run_cli(args2)
         assert out1.output == out2.output
         assert (tmp_path / "a/results.jsonl").read_bytes() == \
                (tmp_path / "b/results.jsonl").read_bytes()
@@ -223,45 +209,61 @@ class TestEval:
     def test_infinite_csv_cell_exits_1(self, workdir, tmp_path):
         header, first, *rest = (workdir / "data.csv").read_text().splitlines()
         (tmp_path / "inf.csv").write_text("\n".join([header, "inf" + first[first.index(","):], *rest]))
-        res = runner.invoke(main, ["eval", "--data", str(tmp_path / "inf.csv"),
-                                   "--schema", str(workdir / "schema.json"),
-                                   "--out", str(tmp_path / "r")])
+        res = run_cli(["eval", "--data", str(tmp_path / "inf.csv"),
+                       "--schema", str(workdir / "schema.json"),
+                       "--out", str(tmp_path / "r")])
         assert res.exit_code == 1
         assert res.exception is None or isinstance(res.exception, SystemExit)
-        assert stderr_of(res).strip().splitlines() == ["infinite cell 'inf' in numeric column 'n0'"]
+        assert res.stderr.strip().splitlines() == ["infinite cell 'inf' in numeric column 'n0'"]
         assert not (tmp_path / "r").exists()
 
     @pytest.mark.parametrize("trees", ["0", "-3"])
     def test_bad_trees_is_usage_error(self, workdir, tmp_path, trees):
-        res = runner.invoke(main, ["eval"] + base_args(
+        res = run_cli(["eval"] + base_args(
             workdir, "--trees", trees, "--out", str(tmp_path / "r")))
         assert res.exit_code == 1
         assert res.exception is None or isinstance(res.exception, SystemExit)
-        assert stderr_of(res).strip().splitlines() == [f"--trees must be at least 1, not {trees}"]
+        assert res.stderr.strip().splitlines() == [f"--trees must be at least 1, not {trees}"]
         assert not (tmp_path / "r").exists()
 
     @pytest.mark.parametrize("option, value", [("trees", math.inf), ("trees", 2.5),
                                                ("seed", -math.inf), ("alpha", math.nan),
                                                ("repeats", math.inf)])
     def test_config_integer_that_is_not_whole_is_usage_error(self, workdir, tmp_path, option, value):
-        # Infinity used to raise OverflowError in click's int(), and 2.5 was
-        # truncated to 2
+        # int() would raise OverflowError on Infinity and truncate 2.5 to 2
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({option: value}))
-        res = runner.invoke(main, ["eval", "--config", str(cfg), *base_args(workdir)[:4],
-                                   "--out", str(tmp_path / "r")])
+        res = run_cli(["eval", "--config", str(cfg), *base_args(workdir)[:4],
+                       "--out", str(tmp_path / "r")])
         assert res.exit_code == 1
         assert res.exception is None or isinstance(res.exception, SystemExit)
-        assert stderr_of(res).strip().splitlines() == [
+        assert res.stderr.strip().splitlines() == [
             f"Error: Invalid value for '--{option}': {value!r} is not a valid integer."]
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("option, value, kind", [
+        ("trees", True, "integer"), ("seed", False, "integer"), ("trees", [1], "integer"),
+        ("beta", True, "float"), ("gamma", False, "float"), ("tune", 1, "boolean"),
+        ("methods", 3, "string")])
+    def test_config_value_of_the_wrong_json_type_is_usage_error(self, workdir, tmp_path,
+                                                                 option, value, kind):
+        # a boolean is no number: {"trees": true} would grow a one-tree forest
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({option: value}))
+        res = run_cli(["eval", "--config", str(cfg), *base_args(workdir)[:4],
+                       "--out", str(tmp_path / "r")])
+        assert res.exit_code == 1
+        assert res.exception is None
+        assert res.stderr.strip().splitlines() == [
+            f"Error: Invalid value for '--{option}': {value!r} is not a valid {kind}."]
         assert not (tmp_path / "r").exists()
 
     @pytest.mark.parametrize("repeats", ["0", "-2"])
     def test_bad_repeats_is_usage_error(self, workdir, tmp_path, repeats):
-        res = runner.invoke(main, ["eval"] + base_args(
+        res = run_cli(["eval"] + base_args(
             workdir, "--repeats", repeats, "--out", str(tmp_path / "r")))
         assert res.exit_code == 1
-        assert stderr_of(res).strip().splitlines() == [f"--repeats must be at least 1, not {repeats}"]
+        assert res.stderr.strip().splitlines() == [f"--repeats must be at least 1, not {repeats}"]
         assert not (tmp_path / "r").exists()
 
     @pytest.mark.parametrize("command", ["eval", "plan"])
@@ -272,16 +274,16 @@ class TestEval:
         flag = args[:args.index("--seed")] + args[args.index("--seed") + 2:]  # --seed from --config
         out = ["--out", str(tmp_path / "r")] if command == "eval" else []
         for argv in (base_args(workdir, "--seed", "-1"), ["--config", str(cfg)] + flag):
-            res = runner.invoke(main, [command] + argv + out)
+            res = run_cli([command] + argv + out)
             assert res.exit_code == 1
             assert res.exception is None or isinstance(res.exception, SystemExit)
-            assert stderr_of(res).strip().splitlines() == ["--seed must be at least 0, not -1"]
+            assert res.stderr.strip().splitlines() == ["--seed must be at least 0, not -1"]
         assert not (tmp_path / "r").exists()
 
     @pytest.mark.parametrize("command", [["eval", "--methods", "cdfs"], ["plan", "--method", "cdfs"]])
     @pytest.mark.parametrize("option, value, why", [
-        *(("beta", v, "in (0, 1]") for v in (math.nan, math.inf, 0.0, -1.0, 5.0)),
-        *(("gamma", v, "finite and above 0") for v in (-1.0, 0.0, math.nan, math.inf)),
+        *(("beta", v, "in (0, 1]") for v in (math.nan, math.inf, -math.inf, 0.0, -1.0, 5.0)),
+        *(("gamma", v, "finite and above 0") for v in (-1.0, 0.0, math.nan, math.inf, -math.inf)),
     ])
     def test_bad_beta_or_gamma_is_usage_error(self, workdir, tmp_path, command, option, value, why):
         cfg = tmp_path / "cfg.json"
@@ -289,10 +291,10 @@ class TestEval:
         out = ["--out", str(tmp_path / "r")] if command[0] == "eval" else []
         for argv in (base_args(workdir, f"--{option}", str(value)),
                      ["--config", str(cfg)] + base_args(workdir)):
-            res = runner.invoke(main, command + argv + out)
+            res = run_cli(command + argv + out)
             assert res.exit_code == 1
             assert res.exception is None or isinstance(res.exception, SystemExit)
-            assert stderr_of(res).strip().splitlines() == [f"--{option} must be {why}, not {value}"]
+            assert res.stderr.strip().splitlines() == [f"--{option} must be {why}, not {value}"]
         assert not (tmp_path / "r").exists()
 
     def test_eval_loads_no_numpy_random_nor_openssl(self, workdir, tmp_path):
@@ -300,7 +302,8 @@ class TestEval:
         # would load secrets, hashlib and OpenSSL's libcrypto, several MB
         # of resident memory; Scott-Knott takes its means and quartiles
         # itself: statistics would load fractions and decimal; a bare
-        # np.unique loads numpy.ma, about 1 MB
+        # np.unique loads numpy.ma, about 1 MB; argparse parses the command
+        # line, where click and its commands would add about 1 MB
         assert heavy_modules_loaded_by_eval(workdir, tmp_path) == "[]"
 
     def test_numeric_dependent_eval_loads_no_numpy_ma(self, tmp_path):
@@ -311,7 +314,7 @@ class TestEval:
             tmp_path, tmp_path, "--constraints", str(tmp_path / "rules.txt")) == "[]"
 
     def test_unknown_method_exits_1(self, workdir, tmp_path):
-        res = runner.invoke(main, ["eval"] + base_args(
+        res = run_cli(["eval"] + base_args(
             workdir, "--methods", "magic", "--out", str(tmp_path / "r")))
         assert res.exit_code == 1
 
@@ -327,16 +330,13 @@ class TestEval:
             for _ in range(120):
                 w.writerow([round(rng.random(), 3) for _ in range(9)]
                            + [int(rng.random() < 0.5)])
-        res = runner.invoke(main, [
+        res = run_cli([
             "eval", "--data", str(noisy), "--schema", str(workdir / "schema.json"),
             "--trees", "15", "--methods", "identity", "--repeats", "1",
             "--out", str(tmp_path / "r"),
         ])
         assert res.exit_code == 2
-        try:
-            err = res.output + res.stderr
-        except ValueError:  # stderr mixed into output on older click
-            err = res.output
+        err = res.output + res.stderr
         assert "gate" in err
 
     @pytest.mark.parametrize("objective", ["defects", "runtime"])
@@ -354,7 +354,7 @@ class TestEval:
             return False
 
         monkeypatch.setattr(evaluation, "gate", failing)
-        res = runner.invoke(main, ["eval"] + base_args(
+        res = run_cli(["eval"] + base_args(
             workdir, "--methods", "identity", "--repeats", "1", "--out", str(tmp_path / "r")))
         assert res.exit_code == 2
         [score] = scores
@@ -362,14 +362,14 @@ class TestEval:
             line = f"predictor gate failed: pd={score.pd:.1f} pf={score.pf:.1f} (need pd > 60 and pf < 40)"
         else:
             line = f"predictor gate failed: s={score.s:.3f} (need s > 0.9)"
-        assert stderr_of(res) == str(GateError(score)) + "\n" == line + "\n"
+        assert res.stderr == str(GateError(score)) + "\n" == line + "\n"
 
     def test_empty_test_split_is_data_error(self, workdir, tmp_path):
         for command in (["eval", "--out", str(tmp_path / "r")], ["plan"]):
-            res = runner.invoke(main, command + versioned(workdir)
+            res = run_cli(command + versioned(workdir)
                                 + ["--test-versions", "nope", "--trees", "15"])
             assert res.exit_code == 1
-            err = stderr_of(res)
+            err = res.stderr
             assert "test split is empty" in err and "gate" not in err
 
     def test_tune_on_one_training_row_names_its_validation_half(self, workdir, tmp_path):
@@ -383,9 +383,9 @@ class TestEval:
         args = ["--data", str(data), "--schema", str(workdir / "versioned.json"), "--tune",
                 "--split-mode", "by-version", "--train-versions", "train", "--test-versions", "test"]
         for command in (["eval", "--out", str(tmp_path / "r")], ["plan"]):
-            res = runner.invoke(main, command + args)
+            res = run_cli(command + args)
             assert res.exit_code == 1
-            assert stderr_of(res).strip().splitlines() == [
+            assert res.stderr.strip().splitlines() == [
                 "the tuning validation half is empty: the training split has 1 row"]
 
     def test_config_file_defaults_with_flag_override(self, workdir, tmp_path):
@@ -398,8 +398,8 @@ class TestEval:
             "methods": "identity",
             "out": str(tmp_path / "from_cfg"),
         }))
-        res = runner.invoke(main, ["eval", "--config", str(cfg),
-                                   "--out", str(tmp_path / "override")])
+        res = run_cli(["eval", "--config", str(cfg),
+                       "--out", str(tmp_path / "override")])
         assert res.exit_code == 0, res.output
         assert (tmp_path / "override" / "results.jsonl").exists()
         assert not (tmp_path / "from_cfg").exists()
@@ -408,17 +408,17 @@ class TestEval:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(dict.fromkeys(["alpha", "beta", "gamma", "seed", "trees"])))
         args = ["plan", "--method", "all", "--rows", "0"] + base_args(workdir)
-        res = runner.invoke(main, args + ["--config", str(cfg)])
-        assert res.exit_code == 0, stderr_of(res)
-        assert res.output == runner.invoke(main, args).output
+        res = run_cli(args + ["--config", str(cfg)])
+        assert res.exit_code == 0, res.stderr
+        assert res.output == run_cli(args).output
 
     def test_unknown_config_keys_exit_1(self, workdir, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"treez": 3, "split-mode": "x", "trees": 15}))
         for command in (["eval", "--out", str(tmp_path / "r")], ["plan"]):
-            res = runner.invoke(main, command + ["--config", str(cfg)] + base_args(workdir))
+            res = run_cli(command + ["--config", str(cfg)] + base_args(workdir))
             assert res.exit_code == 1
-            assert stderr_of(res).strip() == f"--config {cfg}: unknown keys: split-mode, treez"
+            assert res.stderr.strip() == f"--config {cfg}: unknown keys: split-mode, treez"
         assert not (tmp_path / "r").exists()
 
     @pytest.mark.parametrize("schema", [
@@ -432,33 +432,33 @@ class TestEval:
     def test_malformed_schema_exits_1(self, workdir, tmp_path, schema):
         path = tmp_path / "schema.json"
         path.write_text(schema)
-        res = runner.invoke(main, ["eval", "--data", str(workdir / "data.csv"),
-                                   "--schema", str(path), "--out", str(tmp_path / "r")])
+        res = run_cli(["eval", "--data", str(workdir / "data.csv"),
+                       "--schema", str(path), "--out", str(tmp_path / "r")])
         assert res.exit_code == 1
         assert res.exception is None or isinstance(res.exception, SystemExit)
-        err = stderr_of(res).strip().splitlines()
+        err = res.stderr.strip().splitlines()
         assert len(err) == 1 and err[0].startswith(f"{path}: ")
 
     def test_smote_with_numeric_dependent_exits_1(self, workdir, tmp_path):
         schema = json.loads((workdir / "schema.json").read_text())
         schema["class_mode"] = "numeric"
         (tmp_path / "numeric.json").write_text(json.dumps(schema))
-        res = runner.invoke(main, ["eval", "--data", str(workdir / "data.csv"),
-                                   "--schema", str(tmp_path / "numeric.json"), "--smote",
-                                   "--out", str(tmp_path / "r")])
+        res = run_cli(["eval", "--data", str(workdir / "data.csv"),
+                       "--schema", str(tmp_path / "numeric.json"), "--smote",
+                       "--out", str(tmp_path / "r")])
         assert res.exit_code == 1
         assert res.exception is None or isinstance(res.exception, SystemExit)
-        assert stderr_of(res).strip().splitlines() == [
+        assert res.stderr.strip().splitlines() == [
             "SMOTE needs a boolean dependent (class mode boolean-from-count)"]
 
     def test_out_that_cannot_be_created_exits_1(self, workdir, tmp_path):
         (tmp_path / "file").write_text("")
         out = tmp_path / "file" / "res"
-        res = runner.invoke(main, ["eval"] + base_args(
+        res = run_cli(["eval"] + base_args(
             workdir, "--methods", "identity", "--repeats", "1", "--out", str(out)))
         assert res.exit_code == 1
         assert res.exception is None or isinstance(res.exception, SystemExit)
-        err = stderr_of(res).strip().splitlines()
+        err = res.stderr.strip().splitlines()
         assert len(err) == 1 and err[0].startswith(f"--out {out}: cannot write results")
 
     def test_config_that_is_not_an_object_exits_1(self, workdir, tmp_path):
@@ -468,9 +468,9 @@ class TestEval:
                 cfg = tmp_path  # a directory
             else:
                 cfg.write_text(text)
-            res = runner.invoke(main, ["plan", "--config", str(cfg)] + base_args(workdir))
+            res = run_cli(["plan", "--config", str(cfg)] + base_args(workdir))
             assert res.exit_code == 1
-            assert "not a readable JSON object" in stderr_of(res)
+            assert "not a readable JSON object" in res.stderr
 
 
 def drawn_inputs(root, source, n_rows, data_seed, gaps, constant, single_class):
@@ -500,14 +500,14 @@ def drawn_inputs(root, source, n_rows, data_seed, gaps, constant, single_class):
 
 
 # Valid and bad values of each drawn option: non-finite, zero, negative,
-# fractional for an integer, and a seed past 32 bits.
+# fractional for an integer, a boolean, and a seed past 32 bits.
 OPTION_VALUES = {
-    "alpha": ([2, 5, 12], [-1, 0, 1, math.nan, math.inf, 2.5]),
-    "beta": ([0.05, 0.33, 1.0], [math.nan, math.inf, -math.inf, 0.0, -0.5, 1.5]),
-    "gamma": ([1e-3, 0.5, 1.2], [math.nan, math.inf, -math.inf, 0.0, -1.0]),
-    "trees": ([1, 2, 3], [-1, 0, math.nan, math.inf, 2.5]),
-    "seed": ([0, 1, 2**32 + 5], [-1, math.nan, -math.inf]),
-    "repeats": ([1, 2], [-1, 0, math.nan, math.inf]),
+    "alpha": ([2, 5, 12], [-1, 0, 1, math.nan, math.inf, 2.5, False]),
+    "beta": ([0.05, 0.33, 1.0], [math.nan, math.inf, -math.inf, 0.0, -0.5, 1.5, True]),
+    "gamma": ([1e-3, 0.5, 1.2], [math.nan, math.inf, -math.inf, 0.0, -1.0, True]),
+    "trees": ([1, 2, 3], [-1, 0, math.nan, math.inf, 2.5, True]),
+    "seed": ([0, 1, 2**32 + 5], [-1, math.nan, -math.inf, True, False]),
+    "repeats": ([1, 2], [-1, 0, math.nan, math.inf, True]),
 }
 
 
@@ -545,11 +545,11 @@ class TestOptionProperty:
                 runs = []
                 for how, argv in (("flag", data + flags), ("config", ["--config", str(cfg)] + data)):
                     out = ["--out", str(root / how)] if command == "eval" else []
-                    res = runner.invoke(main, [command] + argv + out)
+                    res = run_cli([command] + argv + out)
                     assert res.exit_code in (0, 1, 2), (command, how, res.exception)
                     assert res.exception is None or isinstance(res.exception, SystemExit), \
                         (command, how, repr(res.exception))
-                    err = stderr_of(res)
+                    err = res.stderr
                     if res.exit_code:
                         assert len(err.strip().splitlines()) == 1 and "Traceback" not in err, \
                             (command, how, err)
@@ -563,10 +563,10 @@ class TestOptionProperty:
 class TestReport:
     def test_report_from_saved_results(self, workdir, tmp_path):
         out = tmp_path / "res"
-        runner.invoke(main, ["eval"] + base_args(
+        run_cli(["eval"] + base_args(
             workdir, "--methods", "identity,xtree,cd", "--repeats", "2",
             "--out", str(out)))
-        res = runner.invoke(main, ["report", str(out / "results.jsonl")])
+        res = run_cli(["report", str(out / "results.jsonl")])
         assert res.exit_code == 0, res.output
         assert "Rank" in res.output
         assert "Change frequency" in res.output
@@ -582,14 +582,14 @@ class TestReport:
                                     ratio_defined=False) for s in (1, 2)],
         }
         write_jsonl(results, tmp_path / "r.jsonl")
-        res = runner.invoke(main, ["report", str(tmp_path / "r.jsonl")])
+        res = run_cli(["report", str(tmp_path / "r.jsonl")])
         assert res.exit_code == 0, res.output
-        assert "not ranked, no defined ratio: cd" in stderr_of(res)
+        assert "not ranked, no defined ratio: cd" in res.stderr
         ranked = res.stdout.split("Change frequency")[0]
         assert "identity" in ranked and "cd" not in ranked
 
     def test_missing_file_exits_1(self, tmp_path):
-        res = runner.invoke(main, ["report", str(tmp_path / "nothing.jsonl")])
+        res = run_cli(["report", str(tmp_path / "nothing.jsonl")])
         assert res.exit_code == 1
 
     @pytest.mark.parametrize("line, why", [('"ab"', "not a mapping"), ("[1, 2]", "not a mapping"),
@@ -603,28 +603,34 @@ class TestReport:
                 "FEATURES": json.dumps({**good, "changed_features": [1]})}.get(line, line)
         p = tmp_path / "r.jsonl"
         p.write_text(json.dumps(good) + "\n" + line + "\n")
-        res = runner.invoke(main, ["report", str(p)])
+        res = run_cli(["report", str(p)])
         assert res.exit_code == 1
         assert res.exception is None or isinstance(res.exception, SystemExit)
-        err = stderr_of(res).strip().splitlines()
+        err = res.stderr.strip().splitlines()
         assert len(err) == 1 and err[0].startswith(f"cannot read results: {p}:2: ") and why in err[0]
 
     def test_empty_file_exits_1(self, tmp_path):
         p = tmp_path / "empty.jsonl"
         p.write_text("")
-        res = runner.invoke(main, ["report", str(p)])
+        res = run_cli(["report", str(p)])
         assert res.exit_code == 1
 
 
 class TestHelp:
     def test_group_lists_commands(self):
-        res = runner.invoke(main, ["--help"])
+        res = run_cli(["--help"])
         assert res.exit_code == 0
         for cmd in ("plan", "eval", "report"):
             assert cmd in res.output
 
+    def test_no_arguments_prints_help_and_exits_1(self):
+        res = run_cli([])
+        assert res.exit_code == 1
+        assert res.stdout == ""
+        assert "usage: xplan" in res.stderr and "report" in res.stderr
+
     def test_eval_help_documents_defaults(self):
-        res = runner.invoke(main, ["eval", "--help"])
+        res = run_cli(["eval", "--help"])
         assert res.exit_code == 0
         assert "0.33" in res.output   # beta default
         assert "0.5" in res.output    # gamma default

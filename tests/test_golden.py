@@ -21,14 +21,12 @@ import json
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
 from xplan import evaluation, num_core
-from xplan.cli import main
 from xplan.evaluation import ALL_METHODS, run_repeats, write_jsonl
 from xplan.planners import PlannerConfig
 from xplan.predictor import ForestParams
-from tests.conftest import config_runtime_data, planted_defect_data, save_csv
+from tests.conftest import config_runtime_data, planted_defect_data, run_cli, save_csv
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -63,7 +61,7 @@ def write_config(root):
     its results.jsonl."""
     config_inputs(root)
     out = root / "out"
-    res = CliRunner().invoke(main, [
+    res = run_cli([
         "eval", "--data", str(root / "data.csv"), "--schema", str(root / "schema.json"),
         "--constraints", str(root / "rules.txt"), "--methods", ",".join(ALL_METHODS),
         "--repeats", "3", "--trees", "15", "--seed", "1", "--gamma", "0.9",

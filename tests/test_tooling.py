@@ -1,14 +1,18 @@
 """The repository's own rules about ``src/``: the benchmark's tracer can
 still find every function it wraps, the traced benchmark still reports
 every per-layer metric, no module imports another module's private names,
-and no function takes a parameter it never reads."""
+no function takes a parameter it never reads, and every third-party import
+is a declared dependency and the other way round."""
 
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -73,3 +77,23 @@ def test_no_unused_parameters_in_src():
             unused += [f"{path.name}:{node.lineno} {name}({p})" for p in params
                        if p not in read and p not in ("self", "cls") and not p.startswith("_")]
     assert unused == []
+
+
+def test_src_imports_only_the_stdlib_and_declared_dependencies():
+    # a third-party import must be a runtime dependency in pyproject.toml,
+    # and a dependency must be imported somewhere, so that none is added or
+    # left behind unnoticed
+    tomllib = pytest.importorskip("tomllib")
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        declared = {re.match(r"[\w.-]+", d).group().lower().replace("-", "_")
+                    for d in tomllib.load(fh)["project"]["dependencies"]}
+    imported = set()
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    third_party = imported - set(sys.stdlib_module_names) - {"xplan"}
+    assert sorted(third_party - declared) == []
+    assert sorted(declared - third_party) == []
