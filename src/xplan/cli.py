@@ -186,12 +186,13 @@ def _row_indices(rows, n):
 
 
 def _rank(results, seed):
-    """Scott-Knott ranking of the methods with a defined ratio; the others
-    are named on stderr."""
-    unranked = [m for m, rs in results.items() if not any(r.ratio_defined for r in rs)]
+    """Scott-Knott ranking of the methods with a defined, finite ratio; the
+    others are named on stderr."""
+    samples = method_samples(results)
+    ranked = {s.method for s in samples}
+    unranked = [m for m in results if m not in ranked]
     if unranked:
         print(f"not ranked, no defined ratio: {', '.join(unranked)}", file=sys.stderr)
-    samples = method_samples(results)
     if not samples:
         sys.exit(EXIT_DATA)
     return scott_knott_rank(samples, random.Random(seed))

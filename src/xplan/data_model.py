@@ -2,7 +2,9 @@
 
 Two table shapes are supported: defect-metric tables with a boolean class
 derived from a raw defect count, and configuration tables with a numeric
-runtime class. Either way the dependent value is minimized.
+runtime class. Either way the dependent value is minimized. ``Dataset``
+alone checks it: one feature of numeric kind, with bool cells under
+``MINIMIZE_RATE`` and number cells under ``MINIMIZE_VALUE``.
 
 Cells are floats (numeric), strings (discrete), bools (boolean class) or
 None (missing, written as ``?`` or ``nan`` in CSV). ``load_csv`` gives each
@@ -46,8 +48,8 @@ class FeatureSpec:
             raise DataError(f"bad kind {self.kind!r} for feature {self.name!r}")
         if self.role not in (INDEPENDENT, DEPENDENT, META):
             raise DataError(f"bad role {self.role!r} for feature {self.name!r}")
-        if self.weight < 0:
-            raise DataError(f"negative weight for feature {self.name!r}")
+        if not 0 <= self.weight < math.inf:  # NaN fails too
+            raise DataError(f"weight of feature {self.name!r} must be finite and >= 0, not {self.weight}")
 
 
 @dataclass
@@ -74,13 +76,20 @@ class Dataset:
         self.dep_index = deps[0]
         if objective not in (MINIMIZE_RATE, MINIMIZE_VALUE):
             raise DataError(f"bad objective {objective!r}")
+        boolean = objective == MINIMIZE_RATE
+        need = "classification needs a boolean dependent" if boolean else "regression needs a numeric dependent"
+        if self.features[self.dep_index].kind != NUMERIC:
+            raise DataError(f"{need}; {names[self.dep_index]!r} is discrete")
         self._index = {f.name: i for i, f in enumerate(self.features)}
         arity = len(self.features)
         for r in self.rows:
             if len(r) != arity:
                 raise DataError(f"row arity {len(r)} != {arity}")
-            if r[self.dep_index] is None:
+            v = r[self.dep_index]
+            if v is None:
                 raise DataError("dependent cell may not be missing")
+            if isinstance(v, bool) != boolean or not isinstance(v, (int, float)):
+                raise DataError(need)
         self.bounds = self._compute_bounds()
 
     def _compute_bounds(self):
@@ -157,9 +166,9 @@ def load_schema(path):
     return feats, raw.get("class_mode", "boolean-from-count")
 
 
-def _parse_cell(text, feat, symbols):
-    """One CSV cell's value; a discrete cell is the one object ``symbols``
-    holds for its text."""
+def _parse_cell(text, feat, symbols, count):
+    """One CSV cell's value (of a ``count`` cell, whether it is above 0); a
+    discrete cell is the one object ``symbols`` holds for its text."""
     text = text.strip()
     if text == MISSING:
         return None
@@ -169,7 +178,7 @@ def _parse_cell(text, feat, symbols):
         except ValueError:
             raise DataError(f"non-numeric cell {text!r} in numeric column {feat.name!r}")
         if math.isfinite(value):
-            return value
+            return value > 0 if count else value
         if math.isinf(value):
             raise DataError(f"infinite cell {text!r} in numeric column {feat.name!r}")
         return None  # nan reads as missing, like ``?``
@@ -186,9 +195,14 @@ def read_lines(path):
 
 
 def load_csv(path, schema, class_mode="boolean-from-count"):
-    """Load a CSV whose header matches the schema names, in order. Equal
-    discrete cells share one string, from a table that ends with the call."""
+    """Load a CSV whose header matches the schema names, in order; under
+    ``boolean-from-count`` a dependent count reads as whether it is above 0.
+    Equal discrete cells share one string, from a table that ends with the call."""
     features = list(schema)
+    if class_mode not in ("boolean-from-count", "numeric"):
+        raise DataError(f"bad class mode {class_mode!r}")
+    counted = class_mode == "boolean-from-count"
+    counts = [counted and f.role == DEPENDENT for f in features]
     reader = csv.reader(read_lines(path))
     header = next(reader, None)
     if header is None:
@@ -202,21 +216,8 @@ def load_csv(path, schema, class_mode="boolean-from-count"):
             continue
         if len(rec) != len(features):
             raise DataError(f"{path}:{lineno}: expected {len(features)} cells, got {len(rec)}")
-        rows.append([_parse_cell(c, f, symbols) for c, f in zip(rec, features)])
-
-    dep = next(f for f in features if f.role == DEPENDENT)
-    di = features.index(dep)
-    if class_mode == "boolean-from-count":
-        for r in rows:
-            if r[di] is None:
-                raise DataError("dependent cell may not be missing")
-            r[di] = float(r[di]) > 0
-        objective = MINIMIZE_RATE
-    elif class_mode == "numeric":
-        objective = MINIMIZE_VALUE
-    else:
-        raise DataError(f"bad class mode {class_mode!r}")
-    return Dataset(features, rows, objective)
+        rows.append([_parse_cell(c, f, symbols, k) for c, f, k in zip(rec, features, counts)])
+    return Dataset(features, rows, MINIMIZE_RATE if counted else MINIMIZE_VALUE)
 
 
 def split(ds, spec):

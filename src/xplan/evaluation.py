@@ -48,17 +48,7 @@ from xplan.planners import (
     xtree_draws,
     xtree_targets,
 )
-from xplan.predictor import (
-    CLASSIFY,
-    ForestModel,
-    ForestParams,
-    GateError,
-    forest_input,
-    gate,
-    score_classifier,
-    score_regressor,
-    train_forest,
-)
+from xplan.predictor import ForestModel, ForestParams, GateError, forest_input, gate, train_forest
 from xplan.scott_knott import MethodSamples
 from xplan.where_cluster import cluster
 
@@ -98,13 +88,6 @@ class ChangeFrequencyReport:
     method: str
     per_feature: dict   # feature -> percent of repeats it was changed in
     mean_fraction: float
-
-
-def _total(mode, preds):
-    """Predicted defect count (classifier) or runtime sum (regressor)."""
-    if mode == CLASSIFY:
-        return float(sum(1 for p in preds if p))
-    return float(sum(preds))
 
 
 class RunArtifacts:
@@ -148,13 +131,12 @@ class RunArtifacts:
         unknown = [m for m in methods if m not in ALL_METHODS]
         if unknown:
             raise ValueError(f"unknown method {unknown[0]!r}")
-        model = train_forest(self.forest_input, replace(self.forest_params, seed=seed))
-        predicted = model.predict(self.encoded_test)
-        score = (score_classifier if model.mode == CLASSIFY else score_regressor)(self.test, predicted)
+        forest = train_forest(self.forest_input, replace(self.forest_params, seed=seed))
+        predicted = forest.predict(self.encoded_test)
+        score = forest.score(self.test, predicted)
         if not gate(score):
             raise GateError(score)
-        before = _total(model.mode, predicted)
-        return SeedArtifacts(self, seed, model, predicted, before, self._planners(seed, methods))
+        return SeedArtifacts(self, seed, forest, predicted, float(sum(predicted)), self._planners(seed, methods))
 
     def _planners(self, seed, methods):
         """Per-row plan functions ``test row index -> Plan``. xtree draws its
@@ -203,7 +185,7 @@ class SeedArtifacts:
 
     run: RunArtifacts
     seed: int
-    model: ForestModel
+    forest: ForestModel
     predicted: list  # per test row
     before: float
     planners: dict  # method -> test row index -> Plan
@@ -248,9 +230,9 @@ def run_experiment(train, test, method, arts):
     before, predicted = arts.before, list(arts.predicted)
     rows = encode(changed, run.dcfg)
     if moved:  # identity moves none
-        for i, p in zip(moved, arts.model.predict(rows)):
+        for i, p in zip(moved, arts.forest.predict(rows)):
             predicted[i] = p
-    after = _total(arts.model.mode, predicted)
+    after = float(sum(predicted))  # defect count (a bool counts 1) or runtime sum
     trust_before, trust_after = trust_report(run.encoded_train, moved, rows, run.nearest)
     return ExperimentResult(
         method=method,
@@ -295,10 +277,10 @@ def change_frequency(results, features):
 
 
 def method_samples(results):
-    """Scott-Knott input from per-method result lists; undefined ratios
-    are dropped, and so is a method left with none."""
+    """Scott-Knott input from per-method result lists; undefined and
+    non-finite ratios are dropped, and so is a method left with none."""
     samples = [
-        MethodSamples(m, [r.ratio for r in rs if r.ratio_defined])
+        MethodSamples(m, [r.ratio for r in rs if r.ratio_defined and math.isfinite(r.ratio)])
         for m, rs in results.items()
     ]
     return [s for s in samples if s.values]

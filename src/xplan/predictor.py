@@ -556,6 +556,10 @@ class ForestModel:
             return [v * 2 > n_trees for v in votes]  # majority of trees
         return [v / n_trees for v in votes]
 
+    def score(self, test, predicted):
+        """The gate's score of ``predicted`` for test's rows."""
+        return (score_classifier if self.mode == CLASSIFY else score_regressor)(test, predicted)
+
 
 def _filled(table, fill, unseen):
     """The (rows x features) matrix the trees split."""
@@ -566,22 +570,17 @@ def _filled(table, fill, unseen):
 def forest_input(train, encoded):
     """What every fit on ``train`` reads, from its rows ``encoded`` with
     ``DistanceConfig.from_dataset(train)``: the mode its objective sets,
-    targets, the matrix the trees split and each column's fill (median of
-    the present cells, else 0.0) and unseen limit (the training symbols
-    hold the lowest codes)."""
+    targets (the ``Dataset`` checked their type), the matrix the trees split
+    and each column's fill (median of the present cells, else 0.0) and
+    unseen limit (the training symbols hold the lowest codes)."""
     mode = CLASSIFY if train.objective == MINIMIZE_RATE else REGRESS
     if not train.rows:
         raise ValueError("empty training data")
-    dep = train.dep_values()
-    if mode == CLASSIFY and not all(isinstance(v, bool) for v in dep):
-        raise ValueError("classification needs a boolean dependent")
-    if mode == REGRESS and any(isinstance(v, bool) for v in dep):
-        raise ValueError("regression needs a numeric dependent")
     present = ~np.isnan(encoded.cols)
     fill = np.array([median(c[p].tolist()) if p.any() else 0.0 for c, p in zip(encoded.cols, present)])
     unseen = np.array([(c[p].max() + 1 if p.any() else 0.0) if kind == DISCRETE else math.nan
                        for c, p, kind in zip(encoded.cols, present, encoded.cfg.kinds)])
-    y = np.array([float(v) for v in dep])
+    y = np.array([float(v) for v in train.dep_values()])
     return mode, y, _filled(encoded, fill, unseen), fill, unseen
 
 
@@ -750,12 +749,11 @@ def tune_de(train, budget=200, rng=None, seed=1):
 
     def fitness(vec):
         model = train_forest(data, replace(_params_from_vector(vec, f_total), seed=seed))
-        predicted = model.predict(encoded_val)
+        sc = model.score(val, model.predict(encoded_val))
         if model.mode == CLASSIFY:
-            sc = score_classifier(val, predicted)
             quality = (0 if math.isnan(sc.pd) else sc.pd) - (100 if math.isnan(sc.pf) else sc.pf)
         else:
-            quality = score_regressor(val, predicted).s
+            quality = sc.s
         return -quality  # DE minimizes
 
     init = [[default.n_trees, 30, default.min_leaf, math.ceil(math.sqrt(f_total))]]

@@ -528,9 +528,9 @@ def run_experiment(train, test, method, arts):
     moved = moved_rows(run.encoded_test, encoded)
     rows = encoded.take(moved)
     if len(moved):
-        for i, p in zip(moved.tolist(), arts.model.predict(rows)):
+        for i, p in zip(moved.tolist(), arts.forest.predict(rows)):
             predicted[i] = p
-    if arts.model.mode == CLASSIFY:
+    if arts.forest.mode == CLASSIFY:
         after = float(sum(1 for p in predicted if p))
     else:
         after = float(sum(predicted))

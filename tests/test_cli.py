@@ -8,7 +8,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from xplan import evaluation
 from xplan.data_model import Dataset
@@ -439,6 +439,47 @@ class TestEval:
         err = res.stderr.strip().splitlines()
         assert len(err) == 1 and err[0].startswith(f"{path}: ")
 
+    @pytest.mark.parametrize("weight", [math.nan, math.inf, -math.inf])
+    def test_schema_weight_that_is_not_finite_exits_1(self, workdir, tmp_path, weight):
+        schema = json.loads((workdir / "schema.json").read_text())
+        schema["features"][1]["weight"] = weight  # NaN and Infinity are JSON to Python
+        path = tmp_path / "schema.json"
+        path.write_text(json.dumps(schema))
+        res = run_cli(["eval", "--data", str(workdir / "data.csv"), "--schema", str(path),
+                       "--out", str(tmp_path / "r")])
+        assert res.exit_code == 1
+        assert res.exception is None or isinstance(res.exception, SystemExit)
+        name = schema["features"][1]["name"]
+        assert res.stderr.strip().splitlines() == [
+            f"{path}: bad feature entry: weight of feature {name!r} must be finite and >= 0, not {weight}"]
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("class_mode, kind, role, cells, message", [
+        ("boolean-from-count", "numeric", "independent", "0 1 0 2", "need exactly one dependent feature, got 0"),
+        ("boolean-from-count", "discrete", "dependent", "no yes no yes",
+         "classification needs a boolean dependent; 'bug' is discrete"),
+        ("boolean-from-count", "discrete", "dependent", "0 1 0 2",
+         "classification needs a boolean dependent; 'bug' is discrete"),
+        ("numeric", "discrete", "dependent", "slow fast slow fast",
+         "regression needs a numeric dependent; 'bug' is discrete"),
+        ("numeric", "discrete", "dependent", "1.5 20 3 8",
+         "regression needs a numeric dependent; 'bug' is discrete"),
+    ])
+    def test_dependent_that_is_missing_or_discrete_exits_1(self, tmp_path, class_mode, kind, role,
+                                                           cells, message):
+        data = tmp_path / "data.csv"
+        data.write_text("loc,bug\n" + "".join(f"{10 * i},{c}\n" for i, c in enumerate(cells.split())))
+        schema = tmp_path / "schema.json"
+        schema.write_text(json.dumps({"class_mode": class_mode, "features": [
+            {"name": "loc"}, {"name": "bug", "kind": kind, "role": role}]}))
+        for command in ("eval", "plan"):
+            res = run_cli([command, "--data", str(data), "--schema", str(schema), "--trees", "3"]
+                          + (["--out", str(tmp_path / "r")] if command == "eval" else []))
+            assert res.exit_code == 1, (command, res.exception)
+            assert res.exception is None or isinstance(res.exception, SystemExit), repr(res.exception)
+            assert res.stderr.strip().splitlines() == [message]
+        assert not (tmp_path / "r").exists()
+
     def test_smote_with_numeric_dependent_exits_1(self, workdir, tmp_path):
         schema = json.loads((workdir / "schema.json").read_text())
         schema["class_mode"] = "numeric"
@@ -560,6 +601,49 @@ class TestOptionProperty:
                 assert runs[0] == runs[1], (command, given_opts)
 
 
+# Faults of a hand-written schema, each an edit of its features: of the
+# dependent (last in ``drawn_inputs``' tables) and of another feature.
+SCHEMA_FAULTS = {
+    "no dependent": lambda dep, other: dep.update(role="independent"),
+    "two dependents": lambda dep, other: other.update(role="dependent"),
+    "discrete dependent": lambda dep, other: dep.update(kind="discrete"),
+    "bogus kind": lambda dep, other: other.update(kind="ordinal"),
+    "bogus role": lambda dep, other: other.update(role="target"),
+    **{f"weight {w!r}": lambda dep, other, w=w: other.update(weight=w)
+       for w in (math.nan, math.inf, -math.inf, -1.0, "heavy", "nan", None, True)},
+}
+
+
+class TestSchemaProperty:
+    """Whatever faults its schema holds, ``eval`` exits 0, 1 or 2, and an
+    error is one stderr line and never a traceback."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(source=st.sampled_from(["planted", "config"]), n_rows=st.integers(2, 40),
+           data_seed=st.integers(0, 50),
+           class_mode=st.sampled_from(["boolean-from-count", "numeric"]) | st.sampled_from(["binary", None, 3]),
+           faults=st.lists(st.sampled_from(sorted(SCHEMA_FAULTS)), max_size=3), other=st.integers(0, 99))
+    @example(source="planted", n_rows=30, data_seed=1, class_mode="boolean-from-count",
+             faults=["discrete dependent"], other=0)
+    @example(source="config", n_rows=30, data_seed=1, class_mode="numeric",
+             faults=["discrete dependent"], other=0)
+    def test_exit_codes_and_one_line_errors(self, source, n_rows, data_seed, class_mode, faults, other):
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            data = drawn_inputs(root, source, n_rows, data_seed, 0.0, False, False)
+            schema = json.loads((root / "schema.json").read_text())
+            schema["class_mode"] = class_mode
+            features = schema["features"]
+            for fault in faults:
+                SCHEMA_FAULTS[fault](features[-1], features[other % (len(features) - 1)])
+            (root / "schema.json").write_text(json.dumps(schema))  # NaN and Infinity are JSON to Python
+            res = run_cli(["eval", *data, "--trees", "3", "--repeats", "1", "--out", str(root / "r")])
+            assert res.exit_code in (0, 1, 2), (schema, res.exception)
+            assert res.exception is None or isinstance(res.exception, SystemExit), (schema, repr(res.exception))
+            if res.exit_code:
+                assert len(res.stderr.strip().splitlines()) == 1, (schema, res.stderr)
+
+
 class TestReport:
     def test_report_from_saved_results(self, workdir, tmp_path):
         out = tmp_path / "res"
@@ -587,6 +671,25 @@ class TestReport:
         assert "not ranked, no defined ratio: cd" in res.stderr
         ranked = res.stdout.split("Change frequency")[0]
         assert "identity" in ranked and "cd" not in ranked
+
+    def test_ratio_that_is_not_finite_is_left_unranked(self, tmp_path):
+        # a hand-edited file: NaN, Infinity, or null while ratio_defined is true
+        from xplan.evaluation import ExperimentResult
+
+        def line(method, seed, ratio):
+            good = ExperimentResult(method, seed, 0.5, 4, 2, 3, 1, ["a"], 0.1, 0.2).to_json()
+            return json.dumps(good).replace('"ratio": 0.5', f'"ratio": {ratio}')
+
+        p = tmp_path / "r.jsonl"
+        p.write_text("\n".join([line("cd", 1, "NaN"), line("cd", 2, "Infinity"),
+                                line("xtree", 1, "null"), line("xtree", 2, "0.5"),
+                                line("bic", 1, "-Infinity"), line("bic", 2, "0.75")]) + "\n")
+        res = run_cli(["report", str(p)])
+        assert res.exit_code == 0, repr(res.exception)
+        assert res.stderr.strip().splitlines() == ["not ranked, no defined ratio: cd"]
+        ranked = res.stdout.split("Change frequency")[0]
+        assert "xtree" in ranked and "bic" in ranked and "cd" not in ranked
+        assert "nan" not in ranked and "inf" not in ranked
 
     def test_missing_file_exits_1(self, tmp_path):
         res = run_cli(["report", str(tmp_path / "nothing.jsonl")])

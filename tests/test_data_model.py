@@ -103,6 +103,25 @@ def test_exactly_one_dependent_required():
         Dataset([FeatureSpec("a")], [], MINIMIZE_RATE)
 
 
+@pytest.mark.parametrize("class_mode, dependent, symbols, message", [
+    ("boolean-from-count", "independent", "0 1", "need exactly one dependent feature, got 0"),
+    ("boolean-from-count", "discrete", "no yes", "classification needs a boolean dependent; 'bug' is discrete"),
+    ("boolean-from-count", "discrete", "0 3", "classification needs a boolean dependent; 'bug' is discrete"),
+    ("numeric", "discrete", "slow fast", "regression needs a numeric dependent; 'bug' is discrete"),
+    ("numeric", "discrete", "1.5 20", "regression needs a numeric dependent; 'bug' is discrete"),
+])
+def test_dependent_that_is_missing_or_discrete_is_a_data_error(tmp_path, class_mode, dependent,
+                                                               symbols, message):
+    # digit symbols of a discrete dependent are not read as counts or runtimes
+    a, b = symbols.split()
+    p = write_defect_csv(tmp_path, f"10,2,{a}\n20,4,{b}\n")
+    kind, role = ("numeric", "independent") if dependent == "independent" else ("discrete", "dependent")
+    schema = DEFECT_SCHEMA[:2] + [FeatureSpec("bug", kind=kind, role=role)]
+    with pytest.raises(DataError) as err:
+        load_csv(p, schema, class_mode)
+    assert str(err.value) == message
+
+
 def test_dependent_cell_never_missing():
     with pytest.raises(DataError):
         Dataset(
@@ -125,6 +144,16 @@ def test_schema_sidecar_roundtrip(tmp_path):
     assert feats[0].weight == 2
     assert feats[1].role == "meta"
     assert feats[2].role == DEPENDENT
+
+
+@pytest.mark.parametrize("weight", ["NaN", "Infinity", "-Infinity", "-1", '"nan"', '"inf"'])
+def test_schema_weight_that_is_not_finite_and_at_least_0_names_its_feature(tmp_path, weight):
+    p = tmp_path / "schema.json"
+    p.write_text('{"features": [{"name": "a", "weight": %s}, {"name": "bug", "role": "dependent"}]}'
+                 % weight)
+    with pytest.raises(DataError) as err:
+        load_schema(p)
+    assert str(err.value).startswith(f"{p}: bad feature entry: weight of feature 'a' must be finite and >= 0")
 
 
 def test_random_half_split_sizes_and_determinism(tmp_path):

@@ -133,7 +133,7 @@ class TestRunExperiment:
             else:
                 assert moved and len(tables) == 1
                 np.testing.assert_array_equal(tables[0].cols, encode([changed[i] for i in moved], dcfg).cols)
-            full = predict(arts.model, encode(changed, dcfg))
+            full = predict(arts.forest, encode(changed, dcfg))
             assert res.after == float(sum(1 for p in full if p))
 
 

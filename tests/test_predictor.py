@@ -9,6 +9,7 @@ from xplan import predictor
 from xplan.data_model import (
     MINIMIZE_RATE,
     MINIMIZE_VALUE,
+    DataError,
     Dataset,
     FeatureSpec,
     SplitSpec,
@@ -85,12 +86,12 @@ class TestForest:
         assert score_regressor(te, predict(te.rows)).s > 0.9
 
     def test_mode_type_checks(self):
-        # the objective sets the mode; a dependent of the other type is rejected
+        # the objective sets the mode; the table of a dependent of the other type is not built
         runtime, defects = runtime_ds(), separable_ds()
-        with pytest.raises(ValueError, match="classification needs a boolean dependent"):
-            fit_forest(Dataset(runtime.features, runtime.rows, MINIMIZE_RATE), ForestParams(n_trees=2))
-        with pytest.raises(ValueError, match="regression needs a numeric dependent"):
-            fit_forest(Dataset(defects.features, defects.rows, MINIMIZE_VALUE), ForestParams(n_trees=2))
+        with pytest.raises(DataError, match="classification needs a boolean dependent"):
+            Dataset(runtime.features, runtime.rows, MINIMIZE_RATE)
+        with pytest.raises(DataError, match="regression needs a numeric dependent"):
+            Dataset(defects.features, defects.rows, MINIMIZE_VALUE)
 
     def test_empty_training_rejected(self):
         feats = [FeatureSpec("x"), FeatureSpec("bug", role="dependent")]
