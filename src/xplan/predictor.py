@@ -31,7 +31,6 @@ from __future__ import annotations
 import functools
 import math
 import random
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -73,7 +72,8 @@ class ClassifierScore:
 
 @dataclass
 class RegressorScore:
-    s: float  # mean of 1 - |a - p| / a
+    s: float  # mean of 1 - |a - p| / a over the rows whose actual value a is not 0
+    skipped: int = 0  # rows whose actual value is 0, which s leaves out
 
 
 _CELL_CAP = 4096  # padded cells per batched search, walk, leaf sum or block of draws: bounds temporaries
@@ -603,15 +603,11 @@ def score_classifier(test, predicted):
 
 
 def score_regressor(test, predicted):
-    """Mean closeness of the predictions for test's rows to their values."""
+    """Mean closeness of the predictions for test's rows to their values,
+    over the rows whose value is not 0; those are counted as skipped."""
     actual = test.dep_values()
-    items = []
-    for a, p in zip(actual, predicted):
-        if a == 0:
-            warnings.warn("skipping test item with zero actual value")
-            continue
-        items.append(1 - abs(a - p) / a)
-    return RegressorScore(sum(items) / len(items) if items else math.nan)
+    items = [1 - abs(a - p) / a for a, p in zip(actual, predicted) if a != 0]
+    return RegressorScore(sum(items) / len(items) if items else math.nan, len(actual) - len(items))
 
 
 # The gate: a classifier needs pd > GATE_PD and pf < GATE_PF (percent), a
@@ -636,7 +632,8 @@ class GateError(RuntimeError):
             super().__init__(f"predictor gate failed: pd={score.pd:.1f} pf={score.pf:.1f} "
                              f"(need pd > {GATE_PD} and pf < {GATE_PF})")
         else:
-            super().__init__(f"predictor gate failed: s={score.s:.3f} (need s > {GATE_S})")
+            skipped = f"; {score.skipped} test rows of value 0 left out" if score.skipped else ""
+            super().__init__(f"predictor gate failed: s={score.s:.3f} (need s > {GATE_S}{skipped})")
 
 
 # --- SMOTE ------------------------------------------------------------------

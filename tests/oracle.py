@@ -2,19 +2,33 @@
 exactly: the scalar row distance that the encoded kernel replaced, the
 allocating kernel that the buffered one replaced, the forest's own row
 encoder that ``num_core.encode`` replaced, the quadratic MDL cut search
-that the scan-and-recount search must match, the recursive CART grower and
-predictor that the lockstep forest replaced, the row-list xtree tree
+that the scan-and-recount search must match, the CSV loader that parsed
+one cell at a time, the recursive CART grower and predictor that the
+lockstep forest replaced, the row-list xtree tree
 and feature ranking that now read the encoded table, the xtree planner
 that searched each row's target again for every seed, the cd planner that
 built each row's deltas again, and the experiment that encoded every
 changed row to find the moved ones."""
 
+import csv
 import math
 from collections import Counter
 
 import numpy as np
 
-from xplan.data_model import DISCRETE, INDEPENDENT, MINIMIZE_RATE, NUMERIC, dependent_score
+from xplan.data_model import (
+    DEPENDENT,
+    DISCRETE,
+    INDEPENDENT,
+    MINIMIZE_RATE,
+    MINIMIZE_VALUE,
+    NUMERIC,
+    DataError,
+    Dataset,
+    _parse_cell,
+    dependent_score,
+    read_lines,
+)
 from xplan.decision_tree import MIN_GAIN, TreeNode, branch_path, locate_leaf, siblings_at_level
 from xplan.discretize import Bin, _mdl_accepts
 from xplan.evaluation import ExperimentResult
@@ -22,6 +36,31 @@ from xplan.num_core import DistanceConfig, distance_matrix, encode, entropy, nea
 from xplan.planners import SAMPLE, SET, SHIFT, Delta, Plan, apply_plan, check_constraints
 from xplan.predictor import CLASSIFY
 from xplan.where_cluster import centroid_of, nearest_cluster, resolve_alpha
+
+
+def load_csv(path, schema, class_mode="boolean-from-count"):
+    """``data_model.load_csv`` as it parsed each record as soon as it was
+    read, one ``_parse_cell`` call per cell."""
+    features = list(schema)
+    if class_mode not in ("boolean-from-count", "numeric"):
+        raise DataError(f"bad class mode {class_mode!r}")
+    counted = class_mode == "boolean-from-count"
+    counts = [counted and f.role == DEPENDENT for f in features]
+    reader = csv.reader(read_lines(path))
+    header = next(reader, None)
+    if header is None:
+        raise DataError(f"{path}: empty file")
+    if [h.strip() for h in header] != [f.name for f in features]:
+        raise DataError(f"{path}: header does not match schema names")
+    rows = []
+    symbols = {}
+    for lineno, rec in enumerate(reader, start=2):
+        if not rec:
+            continue
+        if len(rec) != len(features):
+            raise DataError(f"{path}:{lineno}: expected {len(features)} cells, got {len(rec)}")
+        rows.append([_parse_cell(c, f, symbols, k) for c, f, k in zip(rec, features, counts)])
+    return Dataset(features, rows, MINIMIZE_RATE if counted else MINIMIZE_VALUE)
 
 
 def normalize_bounds(value, lo, hi):

@@ -2,6 +2,7 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import tempfile
@@ -363,6 +364,25 @@ class TestEval:
         else:
             line = f"predictor gate failed: s={score.s:.3f} (need s > 0.9)"
         assert res.stderr == str(GateError(score)) + "\n" == line + "\n"
+
+    def test_regression_gate_over_zero_values_prints_one_line(self, workdir, tmp_path):
+        # the planted defect counts 0 and 1 read as runtimes: the score
+        # leaves the rows of value 0 out and the gate's one line counts
+        # them; run in a child, whose stderr would also show a warning
+        schema = json.loads((workdir / "schema.json").read_text())
+        schema["class_mode"] = "numeric"
+        (tmp_path / "schema.json").write_text(json.dumps(schema))
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from xplan.cli import main; main(sys.argv[1:])", "eval",
+             "--data", str(workdir / "data.csv"), "--schema", str(tmp_path / "schema.json"), "--trees", "15",
+             "--seed", "1", "--methods", "identity", "--repeats", "1", "--out", str(tmp_path / "r")],
+            capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == 2, proc.stderr
+        [line] = proc.stderr.splitlines()
+        assert re.fullmatch(r"predictor gate failed: s=\d\.\d{3} \(need s > 0\.9; [1-9]\d* test rows of value 0 "
+                            r"left out\)", line), line
 
     def test_empty_test_split_is_data_error(self, workdir, tmp_path):
         for command in (["eval", "--out", str(tmp_path / "r")], ["plan"]):

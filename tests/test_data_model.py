@@ -1,7 +1,12 @@
+import csv
 import math
+import tempfile
+from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+import xplan.data_model
 
 from xplan.data_model import (
     DEPENDENT,
@@ -16,7 +21,8 @@ from xplan.data_model import (
     load_schema,
     split,
 )
-from tests.conftest import config_runtime_data, save_csv
+from tests import oracle
+from tests.conftest import config_runtime_data, planted_defect_data, save_csv
 from tests.oracle import normalize_bounds
 
 DEFECT_SCHEMA = [
@@ -154,6 +160,19 @@ def test_schema_weight_that_is_not_finite_and_at_least_0_names_its_feature(tmp_p
     with pytest.raises(DataError) as err:
         load_schema(p)
     assert str(err.value).startswith(f"{p}: bad feature entry: weight of feature 'a' must be finite and >= 0")
+
+
+@pytest.mark.parametrize("weight, shown", [("true", "true"), ('"2.5"', '"2.5"'), ("null", "null"),
+                                           ("[2]", "[2]"), ("1" + "0" * 400, "inf"), ("-1" + "0" * 400, "-inf")])
+def test_schema_weight_must_be_a_json_number_that_is_not_a_bool(tmp_path, weight, shown):
+    p = tmp_path / "schema.json"
+    p.write_text('{"features": [{"name": "a", "weight": %s}, {"name": "bug", "role": "dependent"}]}'
+                 % weight)
+    with pytest.raises(DataError) as err:
+        load_schema(p)
+    message = str(err.value)
+    assert message.startswith(f"{p}: bad feature entry: weight of feature 'a' must be finite and >= 0")
+    assert message.endswith(f", not {shown}") and "\n" not in message
 
 
 def test_random_half_split_sizes_and_determinism(tmp_path):
@@ -299,3 +318,118 @@ def test_dependent_score_median_whose_middle_sum_overflows():
     # 1e308 + 1.7e308 overflows; the median is the sum of their halves
     assert dependent_score([1.7e308, 1e308, -1.0, 1.8e308], MINIMIZE_VALUE) == 1e308 / 2 + 1.7e308 / 2
     assert dependent_score([-1.7e308, -1e308], MINIMIZE_VALUE) == -1e308 / 2 - 1.7e308 / 2
+
+
+# Cells that every column pass takes in one go; cells that send a column
+# cell by cell to _parse_cell (missing, nan, infinite, not a number, and
+# finite numbers whose sum overflows); and quoted cells, which csv.reader
+# reads, some with a comma or a line break inside or with no closing quote.
+NUMBER_CELLS = ("0", "-1", "2.5", "3", " 7 ", "\t0.25", "-0.0", "1_000", "1e3")
+SYMBOL_CELLS = ("on", "off", " on", "off ", "1", "0", "2.5")
+ODD_CELLS = ("?", " ? ", "nan", "NaN", "inf", "-inf", "1e999", "abc", "", "1e308", "-1e308",
+             '"2.5"', '"o,n"', '"on\r\noff"', '"4\n"', 'o"n', '"')
+
+
+@st.composite
+def csv_files(draw):
+    """A schema, a class mode and the bytes of a CSV file for it: up to 600
+    rows, around the loader's block sizes, that repeat a few drawn ones, with
+    odd cells, blank lines, wrong-arity lines and non-UTF-8 bytes put in at
+    drawn rows, and lines that end in LF, CRLF or CR."""
+    kinds = draw(st.lists(st.sampled_from(("numeric", "discrete")), min_size=1, max_size=4))
+    dep = draw(st.integers(0, len(kinds)))
+    features = [FeatureSpec(f"f{i}", kind=k) for i, k in enumerate(kinds)]
+    features.insert(dep, FeatureSpec("bug", role="dependent"))
+    cells = {"numeric": st.sampled_from(NUMBER_CELLS), "discrete": st.sampled_from(SYMBOL_CELLS)}
+    pattern = draw(st.lists(st.tuples(*(cells[f.kind] for f in features)), min_size=1, max_size=6))
+    block = xplan.data_model._BLOCK_RECORDS
+    n_rows = draw(st.sampled_from((1, 5, block - 1, block, block + 1, 3 * block + 5, 600)))
+    rows = [list(pattern[i % len(pattern)]) for i in range(n_rows)]
+    row = st.integers(0, n_rows - 1) | st.integers(0, min(n_rows, 4) - 1)  # often several in one block
+    for i, j, cell in draw(st.lists(st.tuples(row, st.integers(0, len(features) - 1),
+                                              st.sampled_from(ODD_CELLS)), max_size=4)):
+        rows[i][j] = cell
+    lines = [",".join(r).encode() for r in rows]
+    edits = draw(st.lists(st.tuples(row, st.sampled_from(("blank", "short", "long", "bytes"))), max_size=3))
+    for i, edit in sorted(edits, reverse=True):
+        if edit == "blank":
+            lines.insert(i, b"")
+        elif edit == "short":
+            lines[i] = lines[i].rpartition(b",")[0]
+        elif edit == "long":
+            lines[i] += b",1"
+        else:
+            lines[i] += b"\xff"
+    header = ",".join(f.name for f in features).encode()
+    mode = draw(st.sampled_from(("boolean-from-count", "numeric")))
+    eol = draw(st.sampled_from((b"\n", b"\r\n", b"\r")))
+    end = draw(st.sampled_from((b"", eol)))
+    return features, mode, eol.join([header, *lines]) + end
+
+
+def test_first_bad_cell_in_row_order_is_reported(tmp_path):
+    # the column pass meets 'xyz' in the first column before 'abc' in the second
+    p = write_defect_csv(tmp_path, "1,2,1\n1,abc,0\nxyz,2,1\n1,2\n")
+    with pytest.raises(DataError) as err:
+        load_csv(p, DEFECT_SCHEMA)
+    assert str(err.value) == "non-numeric cell 'abc' in numeric column 'wmc'"
+
+
+def test_bad_cell_before_a_wrong_arity_line_is_reported(tmp_path):
+    p = write_defect_csv(tmp_path, "1,2,1\n1,inf,0\n1,2\n")
+    with pytest.raises(DataError) as err:
+        load_csv(p, DEFECT_SCHEMA)
+    assert str(err.value) == "infinite cell 'inf' in numeric column 'wmc'"
+
+
+def test_field_over_the_csv_size_limit_fails_as_csv_reader_does(tmp_path):
+    p = write_defect_csv(tmp_path, "1,2,1\n" + "1" * (csv.field_size_limit() + 1) + ",2,0\n")
+    errors = []
+    for loader in (load_csv, oracle.load_csv):
+        with pytest.raises(csv.Error) as err:
+            loader(p, DEFECT_SCHEMA)
+        errors.append(str(err.value))
+    assert errors[0] == errors[1]
+
+
+def loaded(loader, path, features, mode):
+    """A loader's cells as (type, repr) by row, and its rows; or the message
+    of its DataError."""
+    try:
+        ds = loader(path, features, mode)
+    except DataError as exc:
+        return str(exc)
+    return [[(type(c), repr(c)) for c in r] for r in ds.rows], ds.rows
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(csv_files())
+def test_column_pass_loads_what_the_per_cell_loader_loads(case):
+    features, mode, data = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "d.csv"
+        path.write_bytes(data)
+        got, want = loaded(load_csv, path, features, mode), loaded(oracle.load_csv, path, features, mode)
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert got[0] == want[0]
+    symbols = {}
+    for r in got[1]:
+        for c in r:
+            if isinstance(c, str):
+                assert symbols.setdefault(c, c) is c  # one object per distinct symbol
+
+
+@pytest.mark.parametrize("make", [lambda: planted_defect_data(600, 1)[0], lambda: config_runtime_data(600, 1)[0]],
+                         ids=["planted", "config"])
+def test_clean_table_is_parsed_without_a_call_per_cell(tmp_path, monkeypatch, make):
+    ds = make()
+    save_csv(ds, tmp_path / "t.csv")
+    calls = []
+    parse_cell = xplan.data_model._parse_cell
+    monkeypatch.setattr(xplan.data_model, "_parse_cell", lambda *args: calls.append(args) or parse_cell(*args))
+    again = load_csv(tmp_path / "t.csv", ds.features, "boolean-from-count" if ds.objective == MINIMIZE_RATE
+                     else "numeric")
+    assert len(again) == 600 and again.rows == ds.rows
+    assert calls == []

@@ -21,6 +21,7 @@ from xplan.predictor import (
     REGRESS,
     ClassifierScore,
     ForestParams,
+    GateError,
     RegressorScore,
     differential_evolution,
     forest_input,
@@ -468,12 +469,15 @@ class TestScores:
         sc = score_regressor(ds, [50.0, 10.0])
         assert sc.s == (0.5 + 1.0) / 2  # 1 - |100 - 50| / 100 and 1 - |10 - 10| / 10
 
-    def test_zero_actual_excluded_with_warning(self):
+    def test_zero_actual_excluded_and_counted(self):
         feats = [FeatureSpec("x"), FeatureSpec("rt", role="dependent")]
-        ds = Dataset(feats, [[0.0, 0.0], [1.0, 10.0]], MINIMIZE_VALUE)
-        with pytest.warns(UserWarning):
-            sc = score_regressor(ds, [5.0, 10.0])
-        assert sc.s == pytest.approx(1.0)
+        ds = Dataset(feats, [[0.0, 0.0], [1.0, 10.0], [2.0, 0.0]], MINIMIZE_VALUE)
+        sc = score_regressor(ds, [5.0, 10.0, 1.0])
+        assert (sc.s, sc.skipped) == (1.0, 2)
+        assert str(GateError(RegressorScore(0.5, 2))) == (
+            "predictor gate failed: s=0.500 (need s > 0.9; 2 test rows of value 0 left out)")
+        only_zero = score_regressor(ds.replace_rows([[0.0, 0.0]]), [1.0])
+        assert math.isnan(only_zero.s) and only_zero.skipped == 1
 
 
 class TestGate:
